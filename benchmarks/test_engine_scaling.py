@@ -46,8 +46,7 @@ def test_production_scaling(benchmark, report):
     def parallel_run():
         return line.run(N_DIES, seed=9, workers=PARALLEL_WORKERS)
 
-    parallel = run_once(benchmark, parallel_run)
-    parallel_s = benchmark.stats["mean"]
+    parallel, parallel_s = _timed(lambda: run_once(benchmark, parallel_run))
 
     # Determinism first: the speedup is worthless if outputs drift.
     assert serial.ok and parallel.ok
@@ -87,8 +86,7 @@ def test_calibration_scaling(benchmark, report):
             factory, N_PE, workers=PARALLEL_WORKERS, **kwargs
         )
 
-    parallel = run_once(benchmark, parallel_run)
-    parallel_s = benchmark.stats["mean"]
+    parallel, parallel_s = _timed(lambda: run_once(benchmark, parallel_run))
 
     assert serial.calibration == parallel.calibration
     for a, b in zip(serial.results, parallel.results):

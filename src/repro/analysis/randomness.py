@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = ["monobit_test", "runs_test", "byte_chi_square_test"]
 
@@ -52,4 +51,6 @@ def byte_chi_square_test(bits: np.ndarray) -> float:
         raise ValueError("chi-square test needs at least 2048 bits")
     values = np.packbits(bits[: n_bytes * 8], bitorder="little")
     counts = np.bincount(values, minlength=256)
-    return float(_scipy_stats.chisquare(counts).pvalue)
+    from scipy.stats import chisquare
+
+    return float(chisquare(counts).pvalue)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = [
     "DistributionSummary",
@@ -107,4 +106,6 @@ def overlap_fraction(a: np.ndarray, b: np.ndarray) -> float:
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov statistic (scipy-backed)."""
-    return float(_scipy_stats.ks_2samp(a, b).statistic)
+    from scipy.stats import ks_2samp
+
+    return float(ks_2samp(a, b).statistic)

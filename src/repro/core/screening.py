@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from ..device.mcu import Microcontroller
 from .extract import extract_segment
@@ -76,7 +75,9 @@ def detect_watermark_presence(
     )
     n = extraction.raw_bits.size
     stressed = int(np.count_nonzero(extraction.raw_bits == 0))
-    test = _scipy_stats.binomtest(
+    from scipy.stats import binomtest
+
+    test = binomtest(
         stressed, n, blank_residual_rate, alternative="greater"
     )
     return PresenceResult(

@@ -407,7 +407,7 @@ class FlashController:
         base_pc = self.array.program_cycles[idx]
         base_eo = self.array.erase_only_cycles[idx]
 
-        grid = np.unique(
+        grid = np.sort(
             np.concatenate(
                 [
                     np.array([1.0]),
@@ -416,6 +416,10 @@ class FlashController:
                 ]
             )
         )
+        # Drop repeats by hand rather than with np.unique: numpy >= 2.3
+        # imports numpy.ma on the first np.unique call, which every
+        # forked engine worker would pay again on each imprint.
+        grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
         from ..phys.wear import programmed_level_shift as _shift
 
         t_max = np.empty_like(grid)

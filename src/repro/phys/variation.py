@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .constants import PhysicalParams
 
@@ -80,6 +79,8 @@ def sample_static_cells(
     )
     z = rng.normal(0.0, 1.0, size=n_cells)
     if wear.susceptibility_correlation_cells > 0.0:
+        from scipy import ndimage
+
         # Smooth the latent Gaussian field, then restore unit variance:
         # neighbouring cells share oxide quality but the marginal
         # susceptibility distribution stays the calibrated lognormal.
