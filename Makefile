@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench experiments examples calibrate telemetry-demo serve-demo clean
+.PHONY: install test bench bench-ab experiments examples calibrate telemetry-demo serve-demo clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -12,6 +12,14 @@ test:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+
+# Alternating end-to-end benchmark runs: BASE (a git revision) against
+# the working tree, e.g. `make bench-ab BASE=main PAIRS=10 SEED=7`.
+BASE ?= HEAD
+PAIRS ?= 10
+SEED ?= 1
+bench-ab:
+	$(PYTHON) tools/bench_ab.py --base $(BASE) --pairs $(PAIRS) --seed $(SEED)
 
 experiments:
 	$(PYTHON) tools/run_experiments.py results

@@ -1,10 +1,16 @@
 """The service wire protocol: newline-delimited JSON frames.
 
 One request or response per line (``flashmark.wire/v1``).  Chips travel
-inside verify requests as base64 of their compressed ``.npz`` state
+inside verify requests as base64 of their ``.npz`` state
 (:func:`repro.device.chip_to_bytes`), so the server verifies exactly
 the die the client holds — the same challenge–response shape SIGNED
-uses for its interrogation flow.
+uses for its interrogation flow.  Like the paper's ExtractFlashmark,
+the server reads only the watermark segment, so
+:func:`verify_request` ships only that segment: the die cut to one
+segment, stored without compression.  ``segment`` indexes the die *as
+shipped*, so such a request says ``"segment": 0``.  Servers decode any
+die the same way, so a whole-die blob (compressed or not) with
+``"segment": k`` verifies identically.
 
 Requests::
 
@@ -83,9 +89,11 @@ __all__ = [
 
 WIRE_SCHEMA = "flashmark.wire/v1"
 
-#: Upper bound on one frame; a compressed small-die chip blob is ~100 KB
-#: so this leaves generous headroom without letting a rogue client
-#: buffer unbounded garbage.
+#: Upper bound on one frame.  A verify frame carrying one 512-byte
+#: segment is about 316 KB whatever the die's size (a whole 2-segment
+#: die, compressed, was 406 KB; a whole 512-segment die 103 MB), so
+#: this leaves generous headroom without letting a rogue client buffer
+#: unbounded garbage.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 OK = 200
@@ -217,7 +225,14 @@ def verify_request(
     receipt: bool = False,
     pow_ticket: Optional[dict] = None,
 ) -> dict:
-    """Build a verify request carrying the chip's full state.
+    """Build a verify request carrying the state of one chip segment.
+
+    The blob is the die cut to ``segment`` (see
+    :func:`repro.device.chip_to_bytes`), and the request names it as
+    ``"segment": 0``, its index in the die as shipped.  A ``segment``
+    the die does not have ships the whole die with the index unchanged,
+    so the server answers with the serial controller's
+    ``FlashAddressError``.
 
     ``trace`` is an optional traceparent string; servers thread their
     stage spans under it so the request assembles into one distributed
@@ -232,13 +247,18 @@ def verify_request(
     absent when unused, keeping the request byte-identical to the
     pre-receipt wire form.
     """
+    segment = int(segment)
+    if 0 <= segment < chip.geometry.n_segments:
+        blob, segment = chip_to_bytes(chip, segment=segment), 0
+    else:
+        blob = chip_to_bytes(chip)
     req = {
         "v": WIRE_SCHEMA,
         "op": "verify",
         "family": family,
         "die_id": f"0x{chip.die_id:012X}",
-        "chip_b64": base64.b64encode(chip_to_bytes(chip)).decode("ascii"),
-        "segment": int(segment),
+        "chip_b64": base64.b64encode(blob).decode("ascii"),
+        "segment": segment,
         "n_reads": int(n_reads),
     }
     if request_id is not None:

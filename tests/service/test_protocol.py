@@ -1,11 +1,14 @@
 """Tests for the NDJSON wire protocol."""
 
 import asyncio
+import base64
+import io
+import zipfile
 
 import numpy as np
 import pytest
 
-from repro.device import make_mcu
+from repro.device import chip_from_bytes, make_mcu
 from repro.service import protocol
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
@@ -136,6 +139,58 @@ class TestVerifyRequest:
         assert req["n_reads"] == 3
         bare = verify_request(chip, "fam")
         assert "client" not in bare and "temperature_c" not in bare
+
+    def test_ships_only_the_verified_segment(self, traffic_spec):
+        """The blob is the die cut to the requested segment, stored
+        without zlib, and the request indexes it as segment 0."""
+        from repro.workloads.traffic import TrafficGenerator
+
+        for item in TrafficGenerator(traffic_spec, seed=70).draw(2):
+            chip = item.chip
+            assert chip.geometry.n_segments == 2
+            for segment in (0, 1):
+                req = verify_request(chip, "fam", segment=segment)
+                assert req["segment"] == 0
+                raw = base64.b64decode(req["chip_b64"])
+                with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+                    assert {
+                        info.compress_type for info in archive.infolist()
+                    } == {zipfile.ZIP_STORED}
+                shipped = chip_from_bytes(raw)
+                assert shipped.geometry.n_segments == 1
+                assert shipped.die_id == chip.die_id
+                assert shipped.trace.now_us == chip.trace.now_us
+                assert (
+                    shipped.rng.bit_generator.state
+                    == chip.rng.bit_generator.state
+                )
+                cells = chip.geometry.segment_bit_slice(segment)
+                np.testing.assert_array_equal(
+                    shipped.array.vth, chip.array.vth[cells]
+                )
+                np.testing.assert_array_equal(
+                    shipped.array.static.tau0_us,
+                    chip.array.static.tau0_us[cells],
+                )
+
+    def test_frame_size_independent_of_die_size(self):
+        small = make_mcu(seed=11, n_segments=1)
+        large = make_mcu(seed=11, n_segments=4)
+        frames = [
+            encode_frame(verify_request(chip, "fam", segment=0))
+            for chip in (small, large)
+        ]
+        assert len(frames[0]) == len(frames[1])
+        assert len(frames[0]) < 320_000
+
+    def test_missing_segment_ships_whole_die(self):
+        """No such segment: the whole die travels with the index
+        unchanged, so the server fails it as the controller would."""
+        chip = make_mcu(seed=12, n_segments=2)
+        for segment in (2, -1):
+            req = verify_request(chip, "fam", segment=segment)
+            assert req["segment"] == segment
+            assert chip_from_request(req).geometry.n_segments == 2
 
     def test_missing_blob_rejected(self):
         with pytest.raises(ProtocolError, match="chip_b64"):

@@ -7,6 +7,7 @@ calls on the same chips.
 """
 
 import asyncio
+import base64
 import json
 import urllib.error
 import urllib.request
@@ -14,7 +15,7 @@ import urllib.request
 import pytest
 
 from repro.core import WatermarkVerifier
-from repro.device import make_mcu
+from repro.device import chip_to_bytes, make_mcu
 from repro.engine import verify_population
 from repro.service import protocol
 from repro.service import (
@@ -25,7 +26,12 @@ from repro.service import (
     VerificationServer,
 )
 from repro.workloads.traffic import TrafficGenerator, TrafficSpec
-from tests.service.conftest import FAMILY
+from tests.service.conftest import (
+    FAMILY,
+    report_key,
+    result_key,
+    whole_die_request,
+)
 
 
 def run(coro):
@@ -200,6 +206,87 @@ class TestVerify:
                 f"0x{chips[0].die_id:012X}",
                 f"0x{chips[2].die_id:012X}",
             )
+
+
+class TestWireForms:
+    """A request ships one stored segment; earlier clients shipped the
+    whole die compressed.  Both verify exactly as the engine does."""
+
+    def test_segment_and_whole_die_forms_match_direct(
+        self, registry, traffic_spec, family_calibration
+    ):
+        items = TrafficGenerator(traffic_spec, seed=80).draw(3)
+        cases = [(item.chip, s) for item in items for s in (0, 1)]
+
+        async def fn(server):
+            async with await VerificationClient.connect(
+                server.endpoint
+            ) as client:
+                new = [
+                    await client.verify_chip(chip, FAMILY, segment=s)
+                    for chip, s in cases
+                ]
+                old = [
+                    await client.call(
+                        whole_die_request(chip, FAMILY, segment=s)
+                    )
+                    for chip, s in cases
+                ]
+            return new, old
+
+        new, old = serve(registry, fn)
+        verifier = WatermarkVerifier(
+            family_calibration, traffic_spec.population.format
+        )
+        for (chip, s), a, b in zip(cases, new, old):
+            (report,) = verify_population([chip], verifier, segment=s).results
+            assert result_key(a) == result_key(b) == report_key(chip, report)
+
+    def test_large_die_verifies_over_the_wire(
+        self, registry, traffic_spec, family_calibration
+    ):
+        """A 128-segment die used to need a ~26 MB frame, over the
+        16 MB cap; one segment of it travels in ~0.3 MB."""
+        chip = make_mcu(seed=310, n_segments=128)
+        assert len(chip_to_bytes(chip)) > protocol.MAX_FRAME_BYTES
+        frame = protocol.encode_frame(
+            protocol.verify_request(chip, FAMILY, segment=77)
+        )
+        assert len(frame) < 320_000
+
+        async def fn(server):
+            async with await VerificationClient.connect(
+                server.endpoint
+            ) as client:
+                return await client.verify_chip(chip, FAMILY, segment=77)
+
+        result = serve(registry, fn)
+        verifier = WatermarkVerifier(
+            family_calibration, traffic_spec.population.format
+        )
+        (report,) = verify_population([chip], verifier, segment=77).results
+        assert result_key(result) == report_key(chip, report)
+
+    def test_bit_flipped_blob_400_and_connection_survives(self, registry):
+        chip = make_mcu(seed=311, n_segments=2)
+        req = protocol.verify_request(chip, FAMILY, segment=1)
+        raw = bytearray(base64.b64decode(req["chip_b64"]))
+        raw[len(raw) // 2] ^= 0x10  # inside a stored cell array
+        req["chip_b64"] = base64.b64encode(bytes(raw)).decode("ascii")
+
+        async def fn(server):
+            async with await VerificationClient.connect(
+                server.endpoint
+            ) as client:
+                with pytest.raises(ServiceError) as err:
+                    await client.call(req)
+                pong = await client.ping()
+            return err.value, pong
+
+        err, pong = serve(registry, fn)
+        assert err.code == protocol.BAD_REQUEST
+        assert "undecodable chip blob" in err.reason
+        assert pong == {"pong": True}
 
 
 class TestBackpressure:
