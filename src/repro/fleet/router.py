@@ -1,10 +1,15 @@
 """FleetRouter: one wire endpoint in front of N verification shards.
 
 The router speaks ``flashmark.wire/v1`` on both sides: downstream it
-looks exactly like a :class:`~repro.service.server.VerificationServer`
-(same frame cap, same error codes, same HTTP ``/healthz`` +
-``/metrics`` sidecar), upstream it is an ordinary client of each
-shard.  A verify request is consistent-hashed on ``(family, die)``
+*is* a server's front end — the same
+:class:`~repro.service.frontend.WireFrontEnd` owns its socket, frame
+loop, error frames, HTTP ``/healthz`` + ``/metrics`` sidecar and
+request bookkeeping, so the two cannot drift — and upstream it is an
+ordinary client of each shard.  This module adds only the router's own
+work: routing, shard probing, upstream pooling, the per-shard labeled
+series and the fleet block in ``/healthz``.
+
+A verify request is consistent-hashed on ``(family, die)``
 (:mod:`repro.fleet.hashing`) to its owner shard; if the owner is
 evicted or the forward fails, the request walks the ring to the next
 healthy shard — bounded by ``retry_shards`` — and only then surfaces a
@@ -44,20 +49,29 @@ import hashlib
 import inspect
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..faults import InjectedFault, fault_point
-from ..telemetry import Telemetry, build_manifest
-from ..telemetry.prometheus import render_labeled, render_prometheus
+from ..telemetry import Telemetry
+from ..telemetry.prometheus import render_labeled
 from ..trace.context import TraceContext, parse_traceparent
 from ..service import protocol
 from ..service.client import VerificationClient
-from ..service.endpoint import Endpoint
-from ..service.health import HealthReport, engine_counters
+from ..service.frontend import WireFrontEnd, http_get
+from ..service.health import HealthReport
 from .hashing import DEFAULT_REPLICAS, HashRing, routing_key
 
 __all__ = ["RouterConfig", "FleetRouter"]
+
+#: What a failed exchange with a shard raises (the shard, not the
+#: request, is at fault: count it against the shard's health).
+_FORWARD_ERRORS = (
+    ConnectionError,
+    OSError,
+    asyncio.TimeoutError,
+    protocol.ProtocolError,
+)
 
 
 @dataclass(frozen=True)
@@ -140,7 +154,7 @@ class _ShardLink:
         }
 
 
-class FleetRouter:
+class FleetRouter(WireFrontEnd):
     """Route ``flashmark.wire/v1`` traffic across a shard set.
 
     Parameters
@@ -159,6 +173,9 @@ class FleetRouter:
         built sharing the router's telemetry.
     """
 
+    _role = "router"
+    _ns = "fleet"
+
     def __init__(
         self,
         shards,
@@ -167,16 +184,12 @@ class FleetRouter:
         telemetry: Optional[Telemetry] = None,
         monitor=None,
     ):
+        super().__init__(
+            config if config is not None else RouterConfig(),
+            telemetry,
+            monitor,
+        )
         self.shards = shards
-        self.config = config if config is not None else RouterConfig()
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.monitor = None
-        if self.config.monitoring:
-            if monitor is None:
-                from ..monitor import FleetMonitor
-
-                monitor = FleetMonitor(telemetry=self.telemetry)
-            self.monitor = monitor
         self.ring = HashRing(
             shards.shard_ids(), replicas=self.config.ring_replicas
         )
@@ -184,34 +197,18 @@ class FleetRouter:
             shard_id: _ShardLink(shard_id)
             for shard_id in shards.shard_ids()
         }
-        self._server: Optional[asyncio.base_events.Server] = None
         self._prober: Optional[asyncio.Task] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._started_at: Optional[float] = None
-        self._open_connections = 0
 
     # -- lifecycle --------------------------------------------------------
 
     async def start(self) -> None:
-        if self._server is not None:
-            raise RuntimeError("router already started")
-        self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._handle_stream,
-            self.config.host,
-            self.config.port,
-            limit=protocol.MAX_FRAME_BYTES,
-        )
-        self._started_at = self._loop.time()
+        await super().start()
         if self.config.auto_probe:
             self._prober = self._loop.create_task(self._probe_loop())
         self.telemetry.count("fleet.router_starts")
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await super().stop()
         if self._prober is not None:
             self._prober.cancel()
             try:
@@ -223,23 +220,6 @@ class FleetRouter:
             while link.pool:
                 client, _ = link.pool.pop()
                 await client.close()
-
-    async def __aenter__(self) -> "FleetRouter":
-        await self.start()
-        return self
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.stop()
-
-    @property
-    def port(self) -> int:
-        if self._server is None:
-            raise RuntimeError("router not started")
-        return self._server.sockets[0].getsockname()[1]
-
-    @property
-    def endpoint(self) -> Endpoint:
-        return Endpoint(self.config.host, self.port)
 
     # -- shard health -----------------------------------------------------
 
@@ -320,10 +300,13 @@ class FleetRouter:
             self._links[shard_id].last_status = None
             return
         try:
-            report = await asyncio.wait_for(
-                self._fetch_healthz(endpoint),
+            status, body = await asyncio.wait_for(
+                http_get(endpoint, "/healthz"),
                 timeout=self.config.probe_timeout_s,
             )
+            if status != 200:
+                raise ValueError(f"healthz answered {status}")
+            report = HealthReport.from_dict(json.loads(body))
         except (
             OSError,
             asyncio.TimeoutError,
@@ -357,32 +340,6 @@ class FleetRouter:
             self._note_failure(shard_id, "shard monitor is alerting")
             return
         self._note_success(shard_id)
-
-    @staticmethod
-    async def _fetch_healthz(endpoint: Endpoint) -> HealthReport:
-        reader, writer = await asyncio.open_connection(
-            endpoint.host, endpoint.port
-        )
-        try:
-            writer.write(
-                f"GET /healthz HTTP/1.1\r\nHost: {endpoint.host}\r\n"
-                "Connection: close\r\n\r\n".encode()
-            )
-            await writer.drain()
-            raw = await reader.read()
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        head, _, body = raw.partition(b"\r\n\r\n")
-        status_line = head.split(b"\r\n", 1)[0]
-        if b"200" not in status_line:
-            raise ValueError(
-                f"healthz answered {status_line.decode('latin-1')!r}"
-            )
-        return HealthReport.from_dict(json.loads(body.decode("utf-8")))
 
     async def _chaos_kill(self, shard_id: str) -> None:
         """Hard-kill a shard through its manager (chaos seam)."""
@@ -441,90 +398,6 @@ class FleetRouter:
         await self._release(shard_id, client, endpoint)
         return resp
 
-    # -- downstream connection handling ------------------------------------
-
-    async def _read_frame(self, frames, writer, write_lock) -> bytes:
-        """Mirror of the server's guarded read: an oversized frame
-        answers 400 and the connection keeps serving."""
-        try:
-            return await frames.read_frame()
-        except protocol.FrameTooLarge as exc:
-            self.telemetry.count("fleet.rejected.oversized")
-            await self._write_frame(
-                writer,
-                write_lock,
-                protocol.error_response(
-                    None, protocol.BAD_REQUEST, str(exc)
-                ),
-            )
-            return b"\n"
-
-    async def _handle_stream(self, reader, writer) -> None:
-        self._open_connections += 1
-        self.telemetry.count("fleet.connections")
-        write_lock = asyncio.Lock()
-        tasks: set = set()
-        frames = protocol.FrameReader(reader)
-        try:
-            first = await self._read_frame(frames, writer, write_lock)
-            if first.split(b" ", 1)[0] in (b"GET", b"HEAD"):
-                await self._handle_http(first, frames, writer)
-                return
-            line = first
-            while line:
-                stripped = line.strip()
-                if stripped:
-                    await self._dispatch_line(
-                        stripped, writer, write_lock, tasks
-                    )
-                line = await self._read_frame(frames, writer, write_lock)
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._open_connections -= 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _dispatch_line(
-        self, line: bytes, writer, write_lock, tasks: set
-    ) -> None:
-        try:
-            req = protocol.decode_frame(line)
-        except protocol.ProtocolError as exc:
-            self.telemetry.count("fleet.rejected.bad_request")
-            await self._write_frame(
-                writer,
-                write_lock,
-                protocol.error_response(
-                    None, protocol.BAD_REQUEST, str(exc)
-                ),
-            )
-            return
-        self.telemetry.count("fleet.requests")
-        op = req.get("op")
-        if op == "verify":
-            task = self._loop.create_task(
-                self._serve_verify(req, writer, write_lock)
-            )
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
-            return
-        response = await self._handle_query(op, req.get("id"), req)
-        await self._write_frame(writer, write_lock, response)
-
-    async def _write_frame(self, writer, write_lock, obj: dict) -> None:
-        async with write_lock:
-            writer.write(protocol.encode_frame(obj))
-            try:
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
     # -- verify routing ----------------------------------------------------
 
     def _routing_key(self, req: dict) -> str:
@@ -538,8 +411,8 @@ class FleetRouter:
         digest = hashlib.sha256(blob.encode("ascii")).hexdigest()[:16]
         return routing_key(family, f"blob:{digest}")
 
-    async def _serve_verify(self, req: dict, writer, write_lock) -> None:
-        request_id = req.get("id")
+    async def _accept_verify(self, req: dict, writer, write_lock) -> None:
+        """Route one verify request and relay the shard's answer."""
         t0 = self._loop.time()
         t0_unix = time.time()
         ctx = None
@@ -551,40 +424,20 @@ class FleetRouter:
                 else TraceContext.new_root()
             )
             upstream["trace"] = ctx.to_traceparent()
-        response, shard_id = await self._route_verify(upstream, request_id)
-        latency = self._loop.time() - t0
-        exemplar = None
-        if ctx is not None:
-            # Bucket exemplar: the slowest relay per bucket keeps its
-            # trace id (and receipt id when the shard issued one) plus
-            # the shard that served it.
-            exemplar = {"trace_id": ctx.trace_id}
-            if shard_id:
-                exemplar["shard"] = str(shard_id)
-            receipt = (response.get("result") or {}).get("receipt")
-            if isinstance(receipt, dict) and receipt.get("sig"):
-                exemplar["receipt_id"] = str(receipt["sig"])[:16]
-        self.telemetry.observe(
-            "fleet.latency_s", latency, exemplar=exemplar
+        response, shard_id = await self._route_verify(
+            upstream, req.get("id")
         )
-        self._monitor_relay(req, response, latency)
-        if ctx is not None:
-            error = None
-            if not response.get("ok", False):
-                error = str(
-                    (response.get("error") or {}).get("code", "error")
-                )
-            self.telemetry.record_span(
-                "router.request",
-                latency,
-                t0_unix_s=t0_unix,
-                ctx=ctx,
-                attrs={
-                    "shard": shard_id,
-                    "family": req.get("family"),
-                },
-                error=error,
-            )
+        self._finish_request(
+            response,
+            self._loop.time() - t0,
+            ctx=ctx,
+            t0_unix=t0_unix,
+            family=req.get("family"),
+            client=req.get("client"),
+            attrs={"shard": shard_id, "family": req.get("family")},
+            # The exemplar also names the shard that served the relay.
+            labels={"shard": str(shard_id)} if shard_id else None,
+        )
         await self._write_frame(writer, write_lock, response)
 
     async def _route_verify(self, req: dict, request_id: Any):
@@ -639,12 +492,7 @@ class FleetRouter:
         for n, shard_id in enumerate(attempts):
             try:
                 response = await self._forward(shard_id, req)
-            except (
-                ConnectionError,
-                OSError,
-                asyncio.TimeoutError,
-                protocol.ProtocolError,
-            ) as exc:
+            except _FORWARD_ERRORS as exc:
                 last_error = f"{shard_id}: {exc or type(exc).__name__}"
                 self.telemetry.count("fleet.forward_failures")
                 self._note_failure(shard_id, str(exc) or repr(exc))
@@ -667,57 +515,6 @@ class FleetRouter:
             ),
             None,
         )
-
-    # -- monitor feed ------------------------------------------------------
-
-    def _monitor_relay(
-        self, req: dict, response: dict, latency: float
-    ) -> None:
-        """Feed one relayed outcome to the router's fleet monitor."""
-        if self.monitor is None:
-            return
-        from ..monitor import (
-            OUTCOME_ERROR,
-            OUTCOME_OK,
-            OUTCOME_REJECTED,
-            VerificationEvent,
-        )
-
-        family = req.get("family")
-        family = family if isinstance(family, str) else ""
-        client = req.get("client")
-        client = client if isinstance(client, str) else None
-        if response.get("ok", False):
-            result = response.get("result") or {}
-            event = VerificationEvent(
-                family=family,
-                outcome=OUTCOME_OK,
-                verdict=result.get("verdict"),
-                statistic=result.get("statistic"),
-                latency_s=latency,
-                registry_seq=result.get("history_seq"),
-                client=client,
-                unix_s=time.time(),
-            )
-        else:
-            code = (response.get("error") or {}).get("code")
-            event = VerificationEvent(
-                family=family,
-                outcome=(
-                    OUTCOME_REJECTED
-                    if code
-                    in (
-                        protocol.TOO_MANY_REQUESTS,
-                        protocol.SERVICE_UNAVAILABLE,
-                    )
-                    else OUTCOME_ERROR
-                ),
-                error_code=code,
-                latency_s=latency,
-                client=client,
-                unix_s=time.time(),
-            )
-        self.monitor.record(event)
 
     # -- queries -----------------------------------------------------------
 
@@ -755,12 +552,7 @@ class FleetRouter:
                 continue
             try:
                 return await self._forward(shard_id, req)
-            except (
-                ConnectionError,
-                OSError,
-                asyncio.TimeoutError,
-                protocol.ProtocolError,
-            ) as exc:
+            except _FORWARD_ERRORS as exc:
                 self._note_failure(shard_id, str(exc) or repr(exc))
         return protocol.error_response(
             request_id,
@@ -780,12 +572,7 @@ class FleetRouter:
                 continue
             try:
                 resp = await self._forward(shard_id, req)
-            except (
-                ConnectionError,
-                OSError,
-                asyncio.TimeoutError,
-                protocol.ProtocolError,
-            ) as exc:
+            except _FORWARD_ERRORS as exc:
                 self._note_failure(shard_id, str(exc) or repr(exc))
                 continue
             if not resp.get("ok", False):
@@ -860,120 +647,44 @@ class FleetRouter:
         ``ok``).  The registry block sums the counts each shard last
         reported, so one probe of the router sizes the whole fleet.
         """
-        from .. import __version__
-
         fleet = self._fleet_block()
+        status = None  # the monitor's, or ok
         if fleet["routable"] == 0:
             status = "alerting"
         elif fleet["routable"] < fleet["n_shards"]:
             status = "degraded"
-        elif self.monitor is not None:
-            status = self.monitor.status()
-        else:
-            status = "ok"
         totals: Dict[str, int] = {}
         for link in self._links.values():
             for key, value in link.last_registry.items():
                 totals[key] = totals.get(key, 0) + int(value)
-        counters = self.telemetry.registry.snapshot()["counters"]
-        return HealthReport(
-            status=status,
-            version=__version__,
-            role="router",
-            uptime_s=(
-                self._loop.time() - self._started_at
-                if self._loop is not None and self._started_at is not None
-                else 0.0
-            ),
-            queue_depth=0,
-            registry=totals,
-            engine=engine_counters(counters),
-            monitor=(
-                self.monitor.healthz_block()
-                if self.monitor is not None
-                else None
-            ),
-            fleet=fleet,
+        return self._health(
+            queue_depth=0, registry=totals, status=status, fleet=fleet
         )
 
     # -- HTTP sidecar ------------------------------------------------------
 
-    async def _handle_http(self, first_line, frames, writer) -> None:
-        try:
-            while True:  # drain headers
-                header = await frames.read_frame()
-                if header in (b"\r\n", b"\n", b""):
-                    break
-            parts = first_line.decode("latin-1").split()
-            path = parts[1] if len(parts) > 1 else "/"
-            if path == "/healthz":
-                body = json.dumps(
-                    self.health_report().to_dict()
-                ).encode()
-                content_type = "application/json"
-                status = "200 OK"
-            elif path == "/metrics":
-                extra_gauges = {
-                    "fleet.open_connections": self._open_connections,
-                    "fleet.routable_shards": self._fleet_block()[
-                        "routable"
+    def _live_gauges(self) -> dict:
+        return {
+            "fleet.open_connections": self._open_connections,
+            "fleet.routable_shards": self._fleet_block()["routable"],
+        }
+
+    def _render_metrics(self) -> str:
+        text = super()._render_metrics()
+        # Per-shard lifecycle counters, labeled — the scraped form a
+        # fleet dashboard can ``sum by (shard)``.
+        for name, attr in (
+            ("fleet.evictions.total", "evictions"),
+            ("fleet.readmissions.total", "readmissions"),
+        ):
+            text += "".join(
+                line + "\n"
+                for line in render_labeled(
+                    name,
+                    [
+                        ({"shard": link.shard_id}, getattr(link, attr))
+                        for link in self._links.values()
                     ],
-                }
-                if self.monitor is not None:
-                    extra_gauges.update(self.monitor.gauges())
-                text = render_prometheus(
-                    self.telemetry.registry.snapshot(),
-                    extra_gauges=extra_gauges,
                 )
-                # Per-shard lifecycle counters, labeled — the scraped
-                # form a fleet dashboard can ``sum by (shard)``.
-                for name, attr in (
-                    ("fleet.evictions.total", "evictions"),
-                    ("fleet.readmissions.total", "readmissions"),
-                ):
-                    text += "".join(
-                        line + "\n"
-                        for line in render_labeled(
-                            name,
-                            [
-                                (
-                                    {"shard": link.shard_id},
-                                    getattr(link, attr),
-                                )
-                                for link in self._links.values()
-                            ],
-                        )
-                    )
-                body = text.encode()
-                content_type = "text/plain; version=0.0.4"
-                status = "200 OK"
-            else:
-                body = b"not found\n"
-                content_type = "text/plain"
-                status = "404 Not Found"
-            writer.write(
-                (
-                    f"HTTP/1.1 {status}\r\n"
-                    f"Content-Type: {content_type}\r\n"
-                    f"Content-Length: {len(body)}\r\n"
-                    "Connection: close\r\n\r\n"
-                ).encode()
-                + body
             )
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-
-    # -- manifest ----------------------------------------------------------
-
-    def build_manifest(self) -> dict:
-        """Run manifest of this router session (``kind="fleet"``)."""
-        from dataclasses import asdict
-
-        return build_manifest(
-            self.telemetry,
-            kind="fleet",
-            parameters=asdict(self.config),
-            seeds={},
-            extra={"fleet": self.stats()},
-        )
+        return text

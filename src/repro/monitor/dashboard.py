@@ -120,37 +120,17 @@ async def fetch_snapshot(
     ``endpoint`` is anything :class:`~repro.service.Endpoint` accepts
     (an Endpoint, ``"host:port"``, a 2-tuple); a server *or* a fleet
     router answers it.  The ``(host, port)`` two-argument form is
-    deprecated.
+    deprecated.  An error frame raises
+    :class:`~repro.service.ServiceError` (a :class:`RuntimeError`).
     """
-    from ..service import protocol
+    from ..service.client import VerificationClient
     from ..service.endpoint import coerce_endpoint
 
     target = coerce_endpoint(
         endpoint, port, what="fetch_snapshot(host, port)"
     )
-    reader, writer = await asyncio.open_connection(
-        target.host, target.port
-    )
-    try:
-        writer.write(
-            protocol.encode_frame(
-                {"v": protocol.WIRE_SCHEMA, "id": 1, "op": "monitor"}
-            )
-        )
-        await writer.drain()
-        line = await asyncio.wait_for(reader.readline(), timeout=timeout)
-        response = protocol.decode_frame(line)
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-    if not response.get("ok", False):
-        raise RuntimeError(
-            f"monitor op failed: {response.get('reason', response)}"
-        )
-    return response.get("result") or {}
+    async with await VerificationClient.connect(target) as client:
+        return await asyncio.wait_for(client.monitor(), timeout=timeout)
 
 
 async def watch(

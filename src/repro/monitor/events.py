@@ -1,10 +1,12 @@
 """The per-verification outcome event the fleet monitor consumes.
 
-Every request the :class:`~repro.service.server.VerificationServer`
-answers becomes one :class:`VerificationEvent`: the family it verified
-against, how the request ended (``ok`` / ``error`` / ``rejected``), the
-verdict and **decision statistic** for OK responses, the client-observed
-service latency and the registry history sequence.  The monitor never
+Every verify request a :class:`~repro.service.server.VerificationServer`
+or a :class:`~repro.fleet.router.FleetRouter` answers becomes one
+:class:`VerificationEvent`: the family it verified against, how the
+request ended (``ok`` / ``error`` / ``rejected``, see
+:func:`outcome_for`), the verdict and **decision statistic** for OK
+responses, the client-observed service latency and the registry
+history sequence.  The monitor never
 looks at chips or payloads — population health is entirely a property
 of this event stream.
 
@@ -36,14 +38,27 @@ __all__ = [
     "OUTCOME_ERROR",
     "OUTCOME_REJECTED",
     "VerificationEvent",
+    "outcome_for",
 ]
 
 #: The request produced a verdict.
 OUTCOME_OK = "ok"
 #: The request failed with an error frame (4xx / 5xx).
 OUTCOME_ERROR = "error"
-#: The request was turned away at admission (429: overload/rate).
+#: The request was shed as load (428: proof-of-work metering,
+#: 429: overload / rate limit).
 OUTCOME_REJECTED = "rejected"
+
+
+def outcome_for(code: Optional[int]) -> str:
+    """The outcome of an error frame with wire code ``code``.
+
+    One rule for every front end: 428 and 429 are drops (load turned
+    away on purpose; the drop-rate SLO), anything else is an error —
+    a 503 from a router with no healthy shard included, so it burns
+    the availability SLO like any other 5xx.
+    """
+    return OUTCOME_REJECTED if code in (428, 429) else OUTCOME_ERROR
 
 
 @dataclass(frozen=True)
@@ -98,7 +113,7 @@ class VerificationEvent:
 
     @property
     def is_dropped(self) -> bool:
-        """True when the request was shed at admission (429)."""
+        """True when the request was shed as load (428 / 429)."""
         return self.outcome == OUTCOME_REJECTED
 
     def to_dict(self) -> dict:

@@ -28,9 +28,10 @@ import asyncio
 import json
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from ..service.endpoint import Endpoint
+from ..service.frontend import http_get
 from .parse import parse_prometheus_text
 from .tsdb import TimeSeriesStore
 
@@ -73,34 +74,6 @@ def fleet_targets(shards=None, router=None) -> List[ScrapeTarget]:
                     ScrapeTarget(info.shard_id, info.endpoint)
                 )
     return targets
-
-
-async def _http_get(
-    endpoint: Endpoint, path: str, timeout_s: float
-) -> Tuple[int, str]:
-    """Minimal HTTP/1.0-style GET (Connection: close, read to EOF)."""
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(endpoint.host, endpoint.port), timeout_s
-    )
-    try:
-        request = (
-            f"GET {path} HTTP/1.1\r\n"
-            f"Host: {endpoint.host}:{endpoint.port}\r\n"
-            "Connection: close\r\n\r\n"
-        )
-        writer.write(request.encode("ascii"))
-        await writer.drain()
-        raw = await asyncio.wait_for(reader.read(-1), timeout_s)
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
-    head, _, body = raw.partition(b"\r\n\r\n")
-    status_line = head.split(b"\r\n", 1)[0].split()
-    status = int(status_line[1]) if len(status_line) > 1 else 0
-    return status, body.decode("utf-8", "replace")
 
 
 class MetricsScraper:
@@ -160,7 +133,7 @@ class MetricsScraper:
         n_samples = 0
         status = "unreachable"
         try:
-            code, body = await _http_get(
+            code, body = await http_get(
                 target.endpoint, "/metrics", self.timeout_s
             )
             if code == 200:
@@ -172,7 +145,7 @@ class MetricsScraper:
         except (OSError, asyncio.TimeoutError, ValueError):
             pass
         try:
-            code, body = await _http_get(
+            code, body = await http_get(
                 target.endpoint, "/healthz", self.timeout_s
             )
             payload = json.loads(body) if code == 200 else {}

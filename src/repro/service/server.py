@@ -25,9 +25,12 @@ engine's fan-out across concurrent clients: requests against the same
 family/segment settings that arrive within ``batch_window_s`` of each
 other share one :func:`~repro.engine.verify_population` call.
 
-The same port also answers plain HTTP ``GET /healthz`` and
-``GET /metrics`` (Prometheus text format), detected by protocol
-sniffing on the first line.
+The port itself — socket, per-connection frame loop, the plain HTTP
+``GET /healthz`` / ``GET /metrics`` sidecar sniffed from the first
+line, and the latency / span / monitor-event bookkeeping when a request
+finishes — is the :class:`~repro.service.frontend.WireFrontEnd` the
+fleet router shares; this module adds the server's own work on top:
+admission, micro-batching, registry history and receipts.
 
 Distributed tracing: a verify request may carry a ``trace`` field
 (traceparent form, see :mod:`repro.trace.context`).  With tracing
@@ -44,7 +47,6 @@ histograms either way.
 from __future__ import annotations
 
 import asyncio
-import json
 import sqlite3
 import time
 from dataclasses import dataclass, field
@@ -57,12 +59,11 @@ from ..engine.cache import calibration_to_dict
 from ..faults import InjectedFault, fault_point
 from ..receipts import PowGate, ReceiptSigner, build_receipt
 from ..receipts import params_hash as receipt_params_hash
-from ..telemetry import Telemetry, build_manifest
-from ..telemetry.prometheus import render_prometheus
+from ..telemetry import Telemetry
 from ..trace.context import TraceContext, parse_traceparent
 from . import protocol
-from .endpoint import Endpoint
-from .health import HealthReport, engine_counters
+from .frontend import WireFrontEnd
+from .health import HealthReport
 from .registry import RegistryError, WatermarkRegistry
 
 __all__ = ["ServerConfig", "VerificationServer"]
@@ -185,7 +186,7 @@ def _trace_exemplar(pending: _Pending) -> Optional[Dict[str, str]]:
     return {"trace_id": pending.trace.trace_id}
 
 
-class VerificationServer:
+class VerificationServer(WireFrontEnd):
     """Serve watermark verification over asyncio streams.
 
     Parameters
@@ -219,6 +220,10 @@ class VerificationServer:
         receipt (``service.receipts.unavailable`` counts the degrade).
     """
 
+    _role = "server"
+    _ns = "service"
+    _latency_buckets = LATENCY_BUCKETS
+
     def __init__(
         self,
         registry: WatermarkRegistry,
@@ -229,9 +234,12 @@ class VerificationServer:
         monitor=None,
         receipt_signer: Optional[ReceiptSigner] = None,
     ):
+        super().__init__(
+            config if config is not None else ServerConfig(),
+            telemetry,
+            monitor,
+        )
         self.registry = registry
-        self.config = config if config is not None else ServerConfig()
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.sign_keys = dict(sign_keys or {})
         self.receipt_signer = receipt_signer
         self._pow_gate = (
@@ -243,42 +251,20 @@ class VerificationServer:
             else None
         )
         self._params_hashes: Dict[str, str] = {}
-        self.monitor = None
-        if self.config.monitoring:
-            if monitor is None:
-                # Imported lazily: repro/__init__ imports .service, so a
-                # module-scope import of repro.monitor here would cycle.
-                from ..monitor import FleetMonitor
-
-                monitor = FleetMonitor(telemetry=self.telemetry)
-            self.monitor = monitor
         self._verifiers: Dict[str, Tuple[WatermarkVerifier, bool]] = {}
         self._buckets: Dict[str, _TokenBucket] = {}
         self._queue: Optional[asyncio.Queue] = None
-        self._server: Optional[asyncio.base_events.Server] = None
         self._batcher: Optional[asyncio.Task] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._started_at: Optional[float] = None
         self._max_queue_depth = 0
-        self._open_connections = 0
         self._profiler = None
 
     # -- lifecycle --------------------------------------------------------
 
     async def start(self) -> None:
         """Bind the socket and start the micro-batcher."""
-        if self._server is not None:
-            raise RuntimeError("server already started")
-        self._loop = asyncio.get_running_loop()
+        await super().start()
         self._queue = asyncio.Queue(maxsize=self.config.queue_depth)
-        self._server = await asyncio.start_server(
-            self._handle_stream,
-            self.config.host,
-            self.config.port,
-            limit=protocol.MAX_FRAME_BYTES,
-        )
         self._batcher = self._loop.create_task(self._batch_loop())
-        self._started_at = self._loop.time()
         if self.config.profile_hz > 0:
             # Imported lazily: the profiler is opt-in and repro.obs
             # must stay independent of the service import graph.
@@ -291,10 +277,7 @@ class VerificationServer:
 
     async def stop(self) -> None:
         """Stop accepting, cancel the batcher, fail queued requests."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await super().stop()
         if self._batcher is not None:
             self._batcher.cancel()
             try:
@@ -317,29 +300,9 @@ class VerificationServer:
             profiler, self._profiler = self._profiler, None
             self.telemetry.merge_profile(profiler.stop().to_dict())
 
-    async def __aenter__(self) -> "VerificationServer":
-        await self.start()
-        return self
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.stop()
-
-    @property
-    def port(self) -> int:
-        """The bound port (useful with ``port=0``)."""
-        if self._server is None:
-            raise RuntimeError("server not started")
-        return self._server.sockets[0].getsockname()[1]
-
     @property
     def address(self) -> Tuple[str, int]:
         return (self.config.host, self.port)
-
-    @property
-    def endpoint(self) -> Endpoint:
-        """The bound address as an :class:`Endpoint` — the value every
-        client entry point accepts directly."""
-        return Endpoint(self.config.host, self.port)
 
     # -- verifier construction -------------------------------------------
 
@@ -373,63 +336,7 @@ class VerificationServer:
 
     # -- connection handling ----------------------------------------------
 
-    async def _read_frame(self, frames, writer, write_lock) -> bytes:
-        """One guarded frame read: the size cap is enforced while
-        reading, and an oversized frame answers ``400`` instead of
-        killing the connection (the reader drains it, so framing
-        survives).  Returns ``b"\\n"`` after a rejected frame so the
-        caller's loop keeps serving."""
-        try:
-            return await frames.read_frame()
-        except protocol.FrameTooLarge as exc:
-            self.telemetry.count("service.rejected.oversized")
-            await self._write_frame(
-                writer,
-                write_lock,
-                protocol.error_response(
-                    None, protocol.BAD_REQUEST, str(exc)
-                ),
-            )
-            return b"\n"
-
-    async def _handle_stream(self, reader, writer) -> None:
-        self._open_connections += 1
-        self.telemetry.count("service.connections")
-        write_lock = asyncio.Lock()
-        tasks: set = set()
-        frames = protocol.FrameReader(reader)
-        try:
-            first = await self._read_frame(frames, writer, write_lock)
-            if first.split(b" ", 1)[0] in (b"GET", b"HEAD"):
-                await self._handle_http(first, frames, writer)
-                return
-            line = first
-            while line:
-                stripped = line.strip()
-                if stripped:
-                    dropped = await self._dispatch_line(
-                        stripped, writer, write_lock, tasks
-                    )
-                    if dropped:
-                        break
-                line = await self._read_frame(frames, writer, write_lock)
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._open_connections -= 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _dispatch_line(
-        self, line: bytes, writer, write_lock, tasks: set
-    ) -> bool:
-        """Handle one frame; returns True when the connection must be
-        severed (injected transport fault)."""
+    def _inject_read(self, line: bytes) -> Optional[bytes]:
         try:
             # Injection point: payload kinds hand the parser a damaged
             # frame, "drop" severs the connection mid-stream, "error"
@@ -437,47 +344,45 @@ class VerificationServer:
             action = fault_point("service.read")
         except InjectedFault:
             self.telemetry.count("service.read_aborts")
-            return True
-        if action is not None:
-            if action.kind == "drop":
-                self.telemetry.count("service.read_aborts")
-                return True
-            line = action.apply_bytes(line).strip()
-            if not line:
-                return False
-        try:
-            req = protocol.decode_frame(line)
-        except protocol.ProtocolError as exc:
-            self.telemetry.count("service.rejected.bad_request")
-            await self._write_frame(
-                writer,
-                write_lock,
-                protocol.error_response(
-                    None, protocol.BAD_REQUEST, str(exc)
-                ),
-            )
-            return False
-        self.telemetry.count("service.requests")
-        op = req.get("op")
-        request_id = req.get("id")
-        if op == "verify":
-            outcome = self._admit(req, writer)
-            if isinstance(outcome, dict):  # rejected at admission
-                self._monitor_admission(req, outcome)
-                await self._write_frame(writer, write_lock, outcome)
-                return False
-            task = self._loop.create_task(
-                self._finish_verify(outcome, writer, write_lock)
-            )
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
-            return False
-        response = self._handle_query(op, request_id, req)
-        await self._write_frame(writer, write_lock, response)
-        return False
+            return None
+        if action is None:
+            return line
+        if action.kind == "drop":
+            self.telemetry.count("service.read_aborts")
+            return None
+        return action.apply_bytes(line).strip()
 
-    def _handle_query(self, op, request_id, req: dict) -> dict:
-        """Synchronous (non-verify) operations."""
+    def _inject_write(self, writer) -> Optional[float]:
+        try:
+            # Injection point: "hang" models a slow-draining client
+            # socket, "error"/"drop" a client that vanished while a
+            # response was in flight.
+            action = fault_point("service.write")
+            dropped = action is not None and action.kind == "drop"
+        except InjectedFault:
+            dropped = True
+        if dropped:
+            self.telemetry.count("service.write_aborts")
+            writer.close()
+            return None
+        if action is not None and action.kind == "hang":
+            return action.hang_s
+        return 0.0
+
+    def _accept_verify(self, req: dict, writer, write_lock):
+        """Admission runs synchronously with the reader loop, so a
+        rejection (and its 429 ordering) is decided before the next
+        frame is read."""
+        outcome = self._admit(req, writer)
+        if isinstance(outcome, dict):  # rejected at admission
+            self._record_event(
+                outcome, family=req.get("family"), client=req.get("client")
+            )
+            return outcome
+        return self._finish_verify(outcome, writer, write_lock)
+
+    async def _handle_query(self, op, request_id, req: dict) -> dict:
+        """Non-verify operations, answered inline (nothing awaits)."""
         try:
             if op == "ping":
                 return protocol.ok_response(request_id, {"pong": True})
@@ -659,134 +564,16 @@ class VerificationServer:
         self, pending: _Pending, writer, write_lock
     ) -> None:
         response = await pending.future
-        latency = self._loop.time() - pending.enqueued_at
-        exemplar = None
-        if pending.trace is not None:
-            # The slowest observation per bucket keeps a pointer to its
-            # concrete trace (and signed receipt, when one was issued),
-            # so a p99 bucket in /metrics resolves to a real request.
-            exemplar = {"trace_id": pending.trace.trace_id}
-            receipt = (response.get("result") or {}).get("receipt")
-            if isinstance(receipt, dict) and receipt.get("sig"):
-                exemplar["receipt_id"] = str(receipt["sig"])[:16]
-        self.telemetry.observe(
-            "service.latency_s",
-            latency,
-            buckets=LATENCY_BUCKETS,
-            exemplar=exemplar,
+        self._finish_request(
+            response,
+            self._loop.time() - pending.enqueued_at,
+            ctx=pending.trace,
+            t0_unix=pending.enqueued_unix,
+            family=pending.family,
+            client=pending.client,
+            attrs={"client": pending.client, "family": pending.family},
         )
-        self._monitor_response(pending, response, latency)
-        if pending.trace is not None:
-            error = None
-            if not response.get("ok", False):
-                error = str(
-                    (response.get("error") or {}).get("code", "error")
-                )
-            self.telemetry.record_span(
-                "server.request",
-                latency,
-                t0_unix_s=pending.enqueued_unix,
-                ctx=pending.trace,
-                attrs={"client": pending.client, "family": pending.family},
-                error=error,
-            )
         await self._write_frame(writer, write_lock, response)
-
-    # -- fleet-monitor event feed -----------------------------------------
-
-    def _monitor_admission(self, req: dict, response: dict) -> None:
-        """Feed one admission rejection to the fleet monitor.
-
-        429s (overload / rate limit) and 428s (PoW metering) are
-        *drops* — load the fleet deliberately shed; other admission
-        failures (400 / 404) are plain errors.
-        """
-        if self.monitor is None:
-            return
-        from ..monitor import (
-            OUTCOME_ERROR,
-            OUTCOME_REJECTED,
-            VerificationEvent,
-        )
-
-        code = (response.get("error") or {}).get("code")
-        family = req.get("family")
-        self.monitor.record(
-            VerificationEvent(
-                family=family if isinstance(family, str) else "",
-                outcome=(
-                    OUTCOME_REJECTED
-                    if code
-                    in (
-                        protocol.TOO_MANY_REQUESTS,
-                        protocol.POW_REQUIRED,
-                    )
-                    else OUTCOME_ERROR
-                ),
-                error_code=code,
-                client=(
-                    req.get("client")
-                    if isinstance(req.get("client"), str)
-                    else None
-                ),
-                unix_s=time.time(),
-            )
-        )
-
-    def _monitor_response(
-        self, pending: _Pending, response: dict, latency: float
-    ) -> None:
-        """Feed one completed verify response to the fleet monitor."""
-        if self.monitor is None:
-            return
-        from ..monitor import OUTCOME_ERROR, OUTCOME_OK, VerificationEvent
-
-        if response.get("ok", False):
-            result = response.get("result") or {}
-            event = VerificationEvent(
-                family=pending.family,
-                outcome=OUTCOME_OK,
-                verdict=result.get("verdict"),
-                statistic=result.get("statistic"),
-                latency_s=latency,
-                registry_seq=result.get("history_seq"),
-                client=pending.client,
-                unix_s=time.time(),
-            )
-        else:
-            event = VerificationEvent(
-                family=pending.family,
-                outcome=OUTCOME_ERROR,
-                error_code=(response.get("error") or {}).get("code"),
-                latency_s=latency,
-                client=pending.client,
-                unix_s=time.time(),
-            )
-        self.monitor.record(event)
-
-    async def _write_frame(self, writer, write_lock, obj: dict) -> None:
-        async with write_lock:
-            try:
-                # Injection point: "hang" models a slow-draining client
-                # socket, "error"/"drop" a client that vanished while a
-                # response was in flight.
-                action = fault_point("service.write")
-            except InjectedFault:
-                self.telemetry.count("service.write_aborts")
-                writer.close()
-                return
-            if action is not None:
-                if action.kind == "hang":
-                    await asyncio.sleep(action.hang_s)
-                elif action.kind == "drop":
-                    self.telemetry.count("service.write_aborts")
-                    writer.close()
-                    return
-            writer.write(protocol.encode_frame(obj))
-            try:
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
 
     # -- micro-batching ---------------------------------------------------
 
@@ -794,6 +581,7 @@ class VerificationServer:
         """Drain the queue into grouped engine calls, forever."""
         while True:
             first: _Pending = await self._queue.get()
+            self._mark_picked(first)
             batch = [first]
             deadline = self._loop.time() + self.config.batch_window_s
             while len(batch) < self.config.max_batch:
@@ -801,20 +589,19 @@ class VerificationServer:
                 if remaining <= 0:
                     break
                 try:
-                    batch.append(
-                        await asyncio.wait_for(
-                            self._queue.get(), timeout=remaining
-                        )
+                    pending = await asyncio.wait_for(
+                        self._queue.get(), timeout=remaining
                     )
                 except asyncio.TimeoutError:
                     break
+                self._mark_picked(pending)
+                batch.append(pending)
             self.telemetry.count("service.batches")
             self.telemetry.observe(
                 "service.batch_size",
                 len(batch),
                 buckets=(1, 2, 4, 8, 16, 32, 64),
             )
-            self._mark_picked(batch)
             groups: Dict[Tuple, List[_Pending]] = {}
             for pending in batch:
                 groups.setdefault(pending.batch_key, []).append(pending)
@@ -827,39 +614,41 @@ class VerificationServer:
                     # The batcher must never die: an escaped exception
                     # here would orphan every future request on the
                     # queue.  Fail this group and keep draining.
-                    self.telemetry.count("service.errors", len(group))
-                    for pending in group:
-                        if not pending.future.done():
-                            pending.future.set_result(
-                                protocol.error_response(
-                                    pending.request_id,
-                                    protocol.INTERNAL_ERROR,
-                                    f"verification failed: {exc}",
-                                )
-                            )
+                    self._fail_group(group, exc)
 
-    def _mark_picked(self, batch: List[_Pending]) -> None:
-        """Stamp batcher pickup on each request and close its
-        ``queue_wait`` stage (admission -> dequeue)."""
-        now = self._loop.time()
-        now_unix = time.time()
-        for pending in batch:
-            pending.picked_at = now
-            pending.picked_unix = now_unix
-            wait = now - pending.enqueued_at
-            self.telemetry.observe(
-                "service.stage.queue_wait_s",
-                wait,
-                buckets=LATENCY_BUCKETS,
-                exemplar=_trace_exemplar(pending),
-            )
-            if pending.trace is not None:
-                self.telemetry.record_span(
-                    "server.queue_wait",
-                    wait,
-                    t0_unix_s=pending.enqueued_unix,
-                    ctx=pending.trace.child(),
+    def _fail_group(self, group: List[_Pending], exc: Exception) -> None:
+        """Answer every still-open request of a group with ``500``."""
+        self.telemetry.count("service.errors", len(group))
+        for pending in group:
+            if not pending.future.done():
+                pending.future.set_result(
+                    protocol.error_response(
+                        pending.request_id,
+                        protocol.INTERNAL_ERROR,
+                        f"verification failed: {exc}",
+                    )
                 )
+
+    def _mark_picked(self, pending: _Pending) -> None:
+        """Stamp batcher pickup on a request as it is dequeued and close
+        its ``queue_wait`` stage (admission -> dequeue); the window
+        linger that follows belongs to ``batch_wait``."""
+        pending.picked_at = now = self._loop.time()
+        pending.picked_unix = time.time()
+        wait = now - pending.enqueued_at
+        self.telemetry.observe(
+            "service.stage.queue_wait_s",
+            wait,
+            buckets=LATENCY_BUCKETS,
+            exemplar=_trace_exemplar(pending),
+        )
+        if pending.trace is not None:
+            self.telemetry.record_span(
+                "server.queue_wait",
+                wait,
+                t0_unix_s=pending.enqueued_unix,
+                ctx=pending.trace.child(),
+            )
 
     async def _run_group(self, group: List[_Pending]) -> None:
         """One engine call for a same-settings group of requests."""
@@ -949,16 +738,7 @@ class VerificationServer:
                 engine_meta,
             ) = await self._loop.run_in_executor(None, _work)
         except Exception as exc:  # engine-level failure: fail the group
-            self.telemetry.count("service.errors", len(group))
-            for pending in group:
-                if not pending.future.done():
-                    pending.future.set_result(
-                        protocol.error_response(
-                            pending.request_id,
-                            protocol.INTERNAL_ERROR,
-                            f"verification failed: {exc}",
-                        )
-                    )
+            self._fail_group(group, exc)
             return
         self.telemetry.absorb(
             batch_tel.snapshot(), prefix="service.batch"
@@ -1180,41 +960,6 @@ class VerificationServer:
 
     # -- HTTP sidecar -----------------------------------------------------
 
-    async def _handle_http(self, first_line, frames, writer) -> None:
-        try:
-            while True:  # drain headers
-                header = await frames.read_frame()
-                if header in (b"\r\n", b"\n", b""):
-                    break
-            parts = first_line.decode("latin-1").split()
-            path = parts[1] if len(parts) > 1 else "/"
-            if path == "/healthz":
-                body = json.dumps(
-                    self.health_report().to_dict()
-                ).encode()
-                content_type = "application/json"
-                status = "200 OK"
-            elif path == "/metrics":
-                body = self._render_metrics().encode()
-                content_type = "text/plain; version=0.0.4"
-                status = "200 OK"
-            else:
-                body = b"not found\n"
-                content_type = "text/plain"
-                status = "404 Not Found"
-            writer.write(
-                (
-                    f"HTTP/1.1 {status}\r\n"
-                    f"Content-Type: {content_type}\r\n"
-                    f"Content-Length: {len(body)}\r\n"
-                    "Connection: close\r\n\r\n"
-                ).encode()
-                + body
-            )
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-
     def health_report(self) -> HealthReport:
         """The ``/healthz`` payload as the shared
         :class:`~repro.service.health.HealthReport` model.
@@ -1225,49 +970,17 @@ class VerificationServer:
         ok / degraded / alerting; liveness is still "we answered at
         all".
         """
-        from .. import __version__
-
-        counters = self.telemetry.registry.snapshot()["counters"]
-        return HealthReport(
-            status=(
-                self.monitor.status()
-                if self.monitor is not None
-                else "ok"
-            ),
-            version=__version__,
-            role="server",
-            uptime_s=self._loop.time() - self._started_at,
+        return self._health(
             queue_depth=self._queue.qsize(),
             registry=self.registry.counts(),
-            engine=engine_counters(counters),
-            monitor=(
-                self.monitor.healthz_block()
-                if self.monitor is not None
-                else None
-            ),
         )
 
-    def _render_metrics(self) -> str:
-        """Prometheus text exposition of the telemetry registry.
-
-        Everything the registry holds is exposed — ``service.*``
-        counters and stage histograms, but also absorbed engine counters
-        (``engine.hung_skips``, ``service.batch.*``), fault-injection
-        counters (``faults.injected.*``) and ``telemetry.sink.rotations``
-        — normalized through
-        :func:`repro.telemetry.prometheus.metric_name`.
-        """
-        extra_gauges = {
+    def _live_gauges(self) -> dict:
+        return {
             "service.queue_depth": self._queue.qsize(),
             "service.max_queue_depth": self._max_queue_depth,
             "service.open_connections": self._open_connections,
         }
-        if self.monitor is not None:
-            extra_gauges.update(self.monitor.gauges())
-        return render_prometheus(
-            self.telemetry.registry.snapshot(),
-            extra_gauges=extra_gauges,
-        )
 
     # -- stats / manifest -------------------------------------------------
 
@@ -1288,15 +1001,3 @@ class VerificationServer:
             "counters": service,
             "registry": self.registry.counts(),
         }
-
-    def build_manifest(self) -> dict:
-        """Run manifest of this server session (``kind="service"``)."""
-        from dataclasses import asdict
-
-        return build_manifest(
-            self.telemetry,
-            kind="service",
-            parameters=asdict(self.config),
-            seeds={},
-            extra={"service": self.stats()},
-        )

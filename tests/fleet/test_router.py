@@ -8,6 +8,8 @@ schedule is bounded, surfaced, recovered, and reproducible).
 
 import asyncio
 import json
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -18,7 +20,10 @@ from repro.fleet import (
     fleet_coverage_plan,
     run_fleet_soak,
 )
+from repro.monitor import FleetMonitor
+from repro.monitor.dashboard import fetch_snapshot
 from repro.service import (
+    HealthReport,
     ServerConfig,
     ServiceError,
     VerificationClient,
@@ -68,6 +73,38 @@ def endpoint_runner(request, registry, tmp_path):
         )
 
     return runner
+
+
+@pytest.fixture(params=["direct", "fleet"])
+def front_runner(request, registry, tmp_path):
+    """Run ``fn(front)`` against the lone server or the fleet router
+    object itself (for its counters), as ``endpoint_runner`` does."""
+
+    def runner(fn):
+        if request.param == "direct":
+            return run(_with_server(registry, fn))
+        return fleet(registry, tmp_path, fn)
+
+    return runner
+
+
+def _http(endpoint, path):
+    """``GET path`` -> ``(status, content type, body)`` (blocking)."""
+    url = f"http://{endpoint.host}:{endpoint.port}{path}"
+    try:
+        with urllib.request.urlopen(url, timeout=10) as resp:
+            return (
+                resp.status,
+                resp.headers["Content-Type"],
+                resp.read().decode(),
+            )
+    except urllib.error.HTTPError as err:
+        return err.code, err.headers["Content-Type"], err.read().decode()
+
+
+async def _http_async(endpoint, path):
+    loop = asyncio.get_running_loop()
+    return await loop.run_in_executor(None, _http, endpoint, path)
 
 
 class TestSharedWireContract:
@@ -159,6 +196,56 @@ class TestSharedWireContract:
         assert err.code == 400
         assert err.reason == "verify request is missing 'family'"
 
+    def test_healthz_is_a_health_report(self, front_runner):
+        async def fn(front):
+            got = await _http_async(front.endpoint, "/healthz")
+            return isinstance(front, FleetRouter), got
+
+        is_router, (status, content_type, body) = front_runner(fn)
+        assert status == 200
+        assert content_type == "application/json"
+        report = HealthReport.from_dict(json.loads(body))
+        assert report.role == ("router" if is_router else "server")
+        assert (report.fleet is not None) == is_router
+
+    def test_metrics_is_prometheus_text(self, front_runner):
+        async def fn(front):
+            got = await _http_async(front.endpoint, "/metrics")
+            return isinstance(front, FleetRouter), got
+
+        is_router, (status, content_type, body) = front_runner(fn)
+        assert status == 200
+        assert content_type == "text/plain; version=0.0.4"
+        ns = "fleet" if is_router else "service"
+        assert f"# TYPE flashmark_{ns}_open_connections gauge" in body
+
+    def test_unknown_path_404(self, front_runner):
+        async def fn(front):
+            return await _http_async(front.endpoint, "/nope")
+
+        status, _, body = front_runner(fn)
+        assert status == 404
+        assert body == "not found\n"
+
+    def test_oversized_frame_counted(self, front_runner):
+        async def fn(front):
+            reader, writer = await asyncio.open_connection(
+                front.endpoint.host, front.endpoint.port
+            )
+            writer.write(
+                b"x" * (protocol.MAX_FRAME_BYTES + 10) + b"\n"
+            )
+            await writer.drain()
+            await reader.readline()
+            writer.close()
+            await writer.wait_closed()
+            counters = front.telemetry.registry.snapshot()["counters"]
+            return isinstance(front, FleetRouter), counters
+
+        is_router, counters = front_runner(fn)
+        ns = "fleet" if is_router else "service"
+        assert counters[f"{ns}.rejected.oversized"] == 1
+
 
 class TestRouterOps:
     def test_ping_identifies_role(self, registry, tmp_path):
@@ -210,6 +297,18 @@ class TestRouterOps:
         assert err.code == 400
         assert "monitoring is disabled" in err.reason
 
+    def test_fetch_snapshot_raises_the_error_reason(
+        self, registry, tmp_path
+    ):
+        async def fn(router):
+            with pytest.raises(ServiceError) as err:
+                await fetch_snapshot(router.endpoint)
+            return err.value
+
+        err = fleet(registry, tmp_path, fn)
+        assert err.code == 400
+        assert err.reason == "monitoring is disabled on this router"
+
     def test_verify_result_identical_to_direct(
         self, registry, tmp_path, draw_items
     ):
@@ -235,6 +334,82 @@ class TestRouterOps:
             sort_keys=True,
         )
         assert strip(routed) == strip(direct)
+
+
+class _RecordingMonitor(FleetMonitor):
+    """A fleet monitor that also keeps every event it was fed."""
+
+    def __init__(self):
+        super().__init__()
+        self.events = []
+
+    def record(self, event):
+        self.events.append(event)
+        super().record(event)
+
+
+class TestRouterOutcomes:
+    """The router books relayed outcomes by the servers' rule: 428 and
+    429 are drops, anything else (its own 503 too) is an error."""
+
+    @staticmethod
+    def _relay_one(
+        registry, tmp_path, item, *, kill_all, pow_difficulty=0
+    ):
+        monitor = _RecordingMonitor()
+
+        async def _run():
+            async with InProcessShardManager(
+                registry,
+                1,
+                str(tmp_path / "fleet"),
+                pow_difficulty=pow_difficulty,
+            ) as shards:
+                async with FleetRouter(
+                    shards,
+                    config=RouterConfig(auto_probe=False),
+                    monitor=monitor,
+                ) as router:
+                    if kill_all:
+                        await shards.kill("shard-0")
+                    async with await VerificationClient.connect(
+                        router.endpoint
+                    ) as client:
+                        with pytest.raises(ServiceError) as err:
+                            await client.verify_chip(
+                                item.chip, FAMILY, client="station-1"
+                            )
+            return err.value
+
+        err = run(_run())
+        (event,) = monitor.events
+        return err, event
+
+    def test_relayed_pow_428_is_a_drop(
+        self, registry, tmp_path, draw_items
+    ):
+        err, event = self._relay_one(
+            registry,
+            tmp_path,
+            draw_items(1, seed=96)[0],
+            kill_all=False,
+            pow_difficulty=8,
+        )
+        assert err.code == 428
+        assert event.outcome == "rejected"
+        assert event.is_dropped and not event.is_server_error
+
+    def test_no_healthy_shard_503_burns_availability(
+        self, registry, tmp_path, draw_items
+    ):
+        err, event = self._relay_one(
+            registry, tmp_path, draw_items(1, seed=97)[0], kill_all=True
+        )
+        assert err.code == 503
+        assert "no healthy shard" in err.reason
+        assert event.outcome == "error"
+        assert event.error_code == 503
+        assert event.is_server_error and not event.is_dropped
 
 
 class TestMetricsExposition:

@@ -196,3 +196,47 @@ class TestMonitoringDisabled:
 
 def server_has_no_monitor_block(health):
     return "monitor" not in health and health["status"] == "ok"
+
+
+class _RecordingMonitor(FleetMonitor):
+    """A fleet monitor that also keeps every event it was fed."""
+
+    def __init__(self):
+        super().__init__()
+        self.events = []
+
+    def record(self, event):
+        self.events.append(event)
+        super().record(event)
+
+
+class TestOutcomeRule:
+    def test_pow_428_is_a_drop(self, registry, traffic_spec):
+        """A request without a proof-of-work ticket is shed load, not a
+        failure: 428 books as ``rejected``, like a 429."""
+        chip = TrafficGenerator(traffic_spec, seed=31).draw(1)[0].chip
+        monitor = _RecordingMonitor()
+
+        async def _run():
+            server = VerificationServer(
+                registry,
+                config=ServerConfig(pow_difficulty=8),
+                monitor=monitor,
+            )
+            async with server:
+                async with await VerificationClient.connect(
+                    server.endpoint
+                ) as client:
+                    with pytest.raises(ServiceError) as err:
+                        await client.verify_chip(
+                            chip, FAMILY, client="station-1"
+                        )
+            return err.value
+
+        err = asyncio.run(_run())
+        assert err.code == 428
+        (event,) = monitor.events
+        assert event.outcome == "rejected"
+        assert event.error_code == 428
+        assert event.is_dropped and not event.is_server_error
+        assert event.family == FAMILY

@@ -219,3 +219,31 @@ class TestTracedLoad:
             name = f"service.stage.{stage}_s"
             assert name in hists, sorted(hists)
             assert hists[name]["count"] >= 4
+
+
+class TestStageBoundaries:
+    def test_batch_linger_is_booked_as_batch_wait(
+        self, registry, traffic_spec
+    ):
+        """``queue_wait`` ends when the batcher dequeues a request; the
+        ``batch_window_s`` linger for companions that follows is
+        ``batch_wait``."""
+        chip = TrafficGenerator(traffic_spec, seed=15).draw(1)[0].chip
+
+        async def fn(server):
+            async with await VerificationClient.connect(
+                server.endpoint
+            ) as client:
+                await client.verify_chip(chip, FAMILY)
+            return server.telemetry.registry.snapshot()["histograms"]
+
+        (hists, _) = run(
+            _serve_traced(registry, fn, port=0, batch_window_s=0.2)
+        )
+        batch_wait = hists["service.stage.batch_wait_s"]
+        queue_wait = hists["service.stage.queue_wait_s"]
+        assert batch_wait["count"] == queue_wait["count"] == 1
+        # The window closes on the event-loop clock; allow its timer
+        # resolution, nothing more.
+        assert batch_wait["sum"] >= 0.2 - 1e-3
+        assert queue_wait["sum"] < 0.05
