@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
-        help="run the watermark verification service (NDJSON + HTTP)",
+        help="run the watermark verification service (wire frames + HTTP)",
     )
     p.add_argument(
         "--registry", required=True, help="registry database file"

@@ -1,17 +1,33 @@
 """Chip persistence: save and reload a simulated die's full state.
 
-A chip file is a stored (uncompressed) ``.npz`` holding the evolving
-state (threshold voltages, wear counters), the manufacture-time static
-lot, the physics parameters, and identity metadata.  Reloading
-reproduces the die exactly, so a "chip" can travel between processes —
-e.g. a manufacturer script imprints and ships a file, an integrator
-script verifies it (see ``python -m repro``).
+One chip state — identity metadata, the physics parameters, the RNG
+state, and eight per-cell arrays (threshold voltages, wear counters and
+the manufacture-time static lot) — travels in two containers:
 
-Five of the eight per-cell arrays are float64 and barely compress, so
-the writer skips zlib: a file is about 1.5x the size of a compressed
-one, and a whole 512-segment die saves in 0.14 s instead of 7.0 s
-(2-vCPU Xeon, numpy 2.4).  Each zip member still carries its CRC-32,
-and the loader reads the compressed files of earlier releases too.
+* **Chip files** (:func:`save_chip` / :func:`load_chip`, the CLI's
+  ``chip.npz``) are stored (uncompressed) ``.npz`` archives.  Five of
+  the eight per-cell arrays are float64 and barely compress, so the
+  writer skips zlib: a file is about 1.5x the size of a compressed one,
+  and a whole 512-segment die saves in 0.14 s instead of 7.0 s (2-vCPU
+  Xeon, numpy 2.4).  Each zip member carries its CRC-32, and the loader
+  reads the compressed files of earlier releases too.
+* **Chip bytes** (:func:`chip_to_bytes` / :func:`chip_from_bytes`, what
+  the service wire protocol ships) are a flat raw form that decodes
+  with ``np.frombuffer``, no zip container to walk::
+
+      chip-bytes := MAGIC  header-len  header  cells  crc
+      MAGIC      := b"\\x93FMCHIP"                    (7 bytes)
+      header-len := uint32, little-endian
+      header     := UTF-8 JSON {"meta": {...}, "arrays":
+                        [[name, dtype, count], ...]}
+      cells      := each array of the table, in table order, as raw
+                    little-endian bytes (``count`` items of ``dtype``)
+      crc        := uint32 little-endian CRC-32 of every byte before it
+
+  ``meta`` is the file's metadata plus ``rng_state``.  Any damaged
+  byte — magic, lengths, header, cells or the CRC itself — fails the
+  check.  :func:`chip_from_bytes` still reads, told apart by the zip
+  magic, the ``.npz`` blobs earlier clients sent.
 
 A writer may also cut the die to one segment (``segment=``): the
 result is a one-segment die, shaped like ``make_mcu(n_segments=1)``,
@@ -19,15 +35,17 @@ holding that segment's cells and the whole die's RNG state, clock,
 temperature and parameters.  That is all verification reads, and what
 the service wire protocol ships.
 
-The file format is versioned; loading checks it.
+Both containers are versioned; loading checks it.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import struct
+import zlib
 from pathlib import Path
-from typing import Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -58,14 +76,32 @@ __all__ = [
 
 CHIP_FILE_VERSION = 1
 
+#: Leading bytes of the raw chip form (never the zip ``PK`` magic).
+_RAW_MAGIC = b"\x93FMCHIP"
+_U32 = struct.Struct("<I")
+
+#: The per-cell arrays of a chip state, in the raw form's order.
+_ARRAY_CELLS = (
+    "vth",
+    "program_cycles",
+    "erase_only_cycles",
+    "programmed_since_erase",
+)
+_STATIC_CELLS = (
+    "tau0_us",
+    "wear_susceptibility",
+    "vth_programmed",
+    "vth_erased",
+)
+
 
 class ChipPersistenceError(ValueError):
     """A chip file/blob is truncated, corrupt, or of a foreign version.
 
-    Every decode failure — a short read, a damaged ``.npz`` archive,
-    missing arrays, unparseable metadata — surfaces as this one type,
-    so callers (the CLI, the service wire protocol) can map "bad chip
-    state" to a clean client-facing error instead of leaking
+    Every decode failure — a short read, a damaged ``.npz`` archive or
+    raw form, missing arrays, unparseable metadata — surfaces as this
+    one type, so callers (the CLI, the service wire protocol) can map
+    "bad chip state" to a clean client-facing error instead of leaking
     ``zipfile``/``json``/``KeyError`` internals.
     """
 
@@ -89,22 +125,13 @@ def _params_from_json(blob: str) -> PhysicalParams:
     )
 
 
-def save_chip(
-    chip: Microcontroller,
-    path: Union[str, Path, io.IOBase],
-    *,
-    segment: Optional[int] = None,
-) -> None:
-    """Write a chip's state to ``path`` (.npz, stored).
-
-    ``path`` may also be a binary file-like object — the wire protocol
-    of :mod:`repro.service` streams chips through :class:`io.BytesIO`.
-
-    ``segment=None`` writes the whole die.  An index writes the die cut
-    to that one segment, which reloads as a one-segment die whose
-    segment 0 is this die's segment ``segment``; a segment the die does
-    not have raises ``ValueError``.
-    """
+def _chip_state(
+    chip: Microcontroller, segment: Optional[int]
+) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """``(meta, arrays)`` of a chip, whole or cut to one segment: the
+    one gathering of chip state both containers write.  ``meta`` holds
+    the RNG state under ``rng_state``; ``arrays`` the eight per-cell
+    arrays (views, not copies)."""
     geometry = chip.geometry
     cells = slice(None)
     if segment is not None:
@@ -130,21 +157,109 @@ def save_chip(
             "n_banks": geometry.n_banks,
         },
         "params": _params_to_json(chip.params),
+        "rng_state": chip.rng.bit_generator.state,
     }
+    arrays = {
+        name: getattr(chip.array, name)[cells] for name in _ARRAY_CELLS
+    }
+    arrays.update(
+        (name, getattr(chip.array.static, name)[cells])
+        for name in _STATIC_CELLS
+    )
+    return meta, arrays
+
+
+def _chip_from_state(
+    meta: dict, arrays: Dict[str, np.ndarray]
+) -> Microcontroller:
+    """Build a :class:`Microcontroller` from ``(meta, arrays)`` — the
+    one construction both containers' readers share.  ``arrays`` must
+    be the chip's own (writable) copies: the engine mutates them."""
+    if meta.get("version") != CHIP_FILE_VERSION:
+        raise ChipPersistenceError(
+            f"unsupported chip file version {meta.get('version')!r}"
+        )
+    params = _params_from_json(meta["params"])
+    geometry = FlashGeometry(**meta["geometry"])
+    for name in _ARRAY_CELLS + _STATIC_CELLS:
+        if arrays[name].shape != (geometry.total_bits,):
+            raise ChipPersistenceError(
+                f"array {name!r} holds {arrays[name].size} cells, "
+                f"the geometry {geometry.total_bits}"
+            )
+
+    chip = object.__new__(Microcontroller)
+    chip.model = meta["model"]
+    chip.seed = meta["seed"]
+    chip.params = params
+    chip.die_id = meta["die_id"]
+    chip.rng = np.random.default_rng()
+    chip.rng.bit_generator.state = meta["rng_state"]
+    chip.trace = OperationTrace()
+    chip.trace.now_us = float(meta["clock_us"])
+    chip.trace.energy_uj = float(meta["energy_uj"])
+
+    array = object.__new__(NorFlashArray)
+    array.geometry = geometry
+    array.params = params
+    array.rng = chip.rng
+    array.static = StaticCellLot(
+        **{name: arrays[name] for name in _STATIC_CELLS}
+    )
+    for name in _ARRAY_CELLS:
+        setattr(array, name, arrays[name])
+    array.temperature_c = float(
+        meta.get("temperature_c", params.cell.nominal_temperature_c)
+    )
+    chip.array = array
+
+    timing = MSP430F5438_TIMING
+    if chip.model in SUPPORTED_MODELS:
+        timing = SUPPORTED_MODELS[chip.model][1]
+    chip.flash = FlashController(array, timing, chip.trace)
+    chip.regs = FlashRegisterFile(chip.flash)
+    return chip
+
+
+def _wrap_decode(decode, source) -> Microcontroller:
+    """Run a reader; every failure but a missing file surfaces as
+    :class:`ChipPersistenceError`."""
+    try:
+        return decode(source)
+    except (ChipPersistenceError, FileNotFoundError):
+        raise
+    except Exception as exc:
+        raise ChipPersistenceError(
+            f"corrupt or truncated chip state: {exc}"
+        ) from exc
+
+
+# -- chip files (.npz) -----------------------------------------------------
+
+
+def save_chip(
+    chip: Microcontroller,
+    path: Union[str, Path, io.IOBase],
+    *,
+    segment: Optional[int] = None,
+) -> None:
+    """Write a chip's state to ``path`` (.npz, stored).
+
+    ``path`` may also be a binary file-like object.
+
+    ``segment=None`` writes the whole die.  An index writes the die cut
+    to that one segment, which reloads as a one-segment die whose
+    segment 0 is this die's segment ``segment``; a segment the die does
+    not have raises ``ValueError``.
+    """
+    meta, cells = _chip_state(chip, segment)
+    rng_state = meta.pop("rng_state")
     target = Path(path) if isinstance(path, (str, Path)) else path
     arrays = dict(
         meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-        vth=chip.array.vth[cells],
-        program_cycles=chip.array.program_cycles[cells],
-        erase_only_cycles=chip.array.erase_only_cycles[cells],
-        programmed_since_erase=chip.array.programmed_since_erase[cells],
-        tau0_us=chip.array.static.tau0_us[cells],
-        wear_susceptibility=chip.array.static.wear_susceptibility[cells],
-        vth_programmed=chip.array.static.vth_programmed[cells],
-        vth_erased=chip.array.static.vth_erased[cells],
+        **cells,
         rng_state=np.frombuffer(
-            json.dumps(chip.rng.bit_generator.state).encode(),
-            dtype=np.uint8,
+            json.dumps(rng_state).encode(), dtype=np.uint8
         ),
     )
     # Injection point: a scheduled "error" models a failed write (raises
@@ -171,80 +286,54 @@ def load_chip(path: Union[str, Path, io.IOBase]) -> Microcontroller:
     ``zipfile``/``json`` exception.
     """
     source = Path(path) if isinstance(path, (str, Path)) else path
-    try:
-        return _load_chip_raw(source)
-    except ChipPersistenceError:
-        raise
-    except FileNotFoundError:
-        raise
-    except Exception as exc:
-        raise ChipPersistenceError(
-            f"corrupt or truncated chip state: {exc}"
-        ) from exc
+    return _wrap_decode(_load_chip_raw, source)
 
 
 def _load_chip_raw(source) -> Microcontroller:
     with np.load(source) as data:
         meta = json.loads(bytes(data["meta"]).decode())
-        if meta.get("version") != CHIP_FILE_VERSION:
-            raise ChipPersistenceError(
-                f"unsupported chip file version {meta.get('version')!r}"
-            )
-        params = _params_from_json(meta["params"])
-        geometry = FlashGeometry(**meta["geometry"])
+        meta["rng_state"] = json.loads(bytes(data["rng_state"]).decode())
+        arrays = {
+            name: data[name].copy()
+            for name in _ARRAY_CELLS + _STATIC_CELLS
+        }
+    return _chip_from_state(meta, arrays)
 
-        chip = object.__new__(Microcontroller)
-        chip.model = meta["model"]
-        chip.seed = meta["seed"]
-        chip.params = params
-        chip.die_id = meta["die_id"]
-        chip.rng = np.random.default_rng()
-        chip.rng.bit_generator.state = json.loads(
-            bytes(data["rng_state"]).decode()
-        )
-        chip.trace = OperationTrace()
-        chip.trace.now_us = float(meta["clock_us"])
-        chip.trace.energy_uj = float(meta["energy_uj"])
 
-        array = object.__new__(NorFlashArray)
-        array.geometry = geometry
-        array.params = params
-        array.rng = chip.rng
-        array.static = StaticCellLot(
-            tau0_us=data["tau0_us"].copy(),
-            wear_susceptibility=data["wear_susceptibility"].copy(),
-            vth_programmed=data["vth_programmed"].copy(),
-            vth_erased=data["vth_erased"].copy(),
-        )
-        array.vth = data["vth"].copy()
-        array.program_cycles = data["program_cycles"].copy()
-        array.erase_only_cycles = data["erase_only_cycles"].copy()
-        array.programmed_since_erase = data["programmed_since_erase"].copy()
-        array.temperature_c = float(
-            meta.get("temperature_c", params.cell.nominal_temperature_c)
-        )
-        chip.array = array
-
-        timing = MSP430F5438_TIMING
-        if chip.model in SUPPORTED_MODELS:
-            timing = SUPPORTED_MODELS[chip.model][1]
-        chip.flash = FlashController(array, timing, chip.trace)
-        chip.regs = FlashRegisterFile(chip.flash)
-        return chip
+# -- chip bytes (raw form) -------------------------------------------------
 
 
 def chip_to_bytes(
     chip: Microcontroller, *, segment: Optional[int] = None
 ) -> bytes:
-    """Serialize a chip to the ``.npz`` byte stream.
+    """Serialize a chip to its raw byte form (module docstring).
 
-    The in-memory twin of :func:`save_chip` (``segment`` as there): the
-    service wire protocol ships one segment of a chip as these bytes
-    (base64-wrapped inside JSON frames).
+    ``segment`` as in :func:`save_chip`: the service wire protocol
+    ships one segment of a chip as these bytes, the body of its binary
+    verify frame.
     """
-    buf = io.BytesIO()
-    save_chip(chip, buf, segment=segment)
-    data = buf.getvalue()
+    meta, arrays = _chip_state(chip, segment)
+    cells = [
+        np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<"))
+        for a in arrays.values()
+    ]
+    header = json.dumps(
+        {
+            "meta": meta,
+            "arrays": [
+                [name, a.dtype.str, a.size]
+                for name, a in zip(arrays, cells)
+            ],
+        },
+        separators=(",", ":"),
+    ).encode()
+    parts = [_RAW_MAGIC, _U32.pack(len(header)), header]
+    parts += [memoryview(a).cast("B") for a in cells]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    parts.append(_U32.pack(crc))
+    data = b"".join(parts)
     # Injection point: "error" models a read-back failure, the payload
     # kinds hand downstream consumers a damaged blob.
     action = fault_point("device.chip_to_bytes")
@@ -253,12 +342,42 @@ def chip_to_bytes(
     return data
 
 
-def chip_from_bytes(data: bytes) -> Microcontroller:
-    """Inverse of :func:`chip_to_bytes`.
+def chip_from_bytes(data) -> Microcontroller:
+    """Inverse of :func:`chip_to_bytes` (any bytes-like ``data``).
 
-    Raises :class:`ChipPersistenceError` on a damaged blob.
+    Also reads the ``.npz`` blobs of earlier releases, told apart by
+    the magic.  The chip owns copies of its arrays, never views of
+    ``data``.  Raises :class:`ChipPersistenceError` on a damaged blob.
     """
     action = fault_point("device.chip_from_bytes")
     if action is not None:
         data = action.apply_bytes(data)
+    if bytes(data[: len(_RAW_MAGIC)]) == _RAW_MAGIC:
+        return _wrap_decode(_chip_from_raw, memoryview(data))
     return load_chip(io.BytesIO(data))
+
+
+def _chip_from_raw(view: memoryview) -> Microcontroller:
+    body = view[:-_U32.size]
+    if len(body) <= len(_RAW_MAGIC) + _U32.size:
+        raise ChipPersistenceError("truncated chip bytes")
+    (crc,) = _U32.unpack(view[-_U32.size :])
+    if zlib.crc32(body) != crc:
+        raise ChipPersistenceError("chip bytes fail their CRC-32 check")
+    offset = len(_RAW_MAGIC)
+    (header_len,) = _U32.unpack_from(body, offset)
+    offset += _U32.size
+    header = json.loads(bytes(body[offset : offset + header_len]))
+    offset += header_len
+    arrays = {}
+    for name, dtype, count in header["arrays"]:
+        dtype = np.dtype(dtype)
+        arrays[name] = np.frombuffer(
+            body, dtype=dtype, count=count, offset=offset
+        ).astype(dtype.newbyteorder("="))
+        offset += dtype.itemsize * count
+    if offset != len(body):
+        raise ChipPersistenceError(
+            f"chip bytes hold {len(body) - offset} bytes past the arrays"
+        )
+    return _chip_from_state(header["meta"], arrays)

@@ -59,7 +59,7 @@ def coverage_plan(seed: int = 0) -> FaultPlan:
     3         chip_to_bytes oversize     client-local FrameTooLarge
     4         service.read garbage       400 (frame is not valid JSON)
     5         service.read drop          severed connection + reconnect
-    6         chip_from_bytes corrupt    400 (npz magic destroyed)
+    6         chip_from_bytes corrupt    400 (chip magic destroyed)
     7         service.registry error     counted retry, verdict still OK
     7         service.write hang         delayed (bounded) response
     8         engine.job error           counted engine retry, OK
@@ -79,7 +79,7 @@ def coverage_plan(seed: int = 0) -> FaultPlan:
         FaultSpec("device.chip_to_bytes", "oversize", at=3),
         FaultSpec("service.read", "garbage", at=3),
         FaultSpec("service.read", "drop", at=4),
-        # offset 0 destroys the npz (zip) magic, so the decode failure
+        # offset 0 destroys the chip-bytes magic, so the decode failure
         # is deterministic rather than left to a CRC check.
         FaultSpec("device.chip_from_bytes", "corrupt", at=3,
                   params={"offset": 0, "n_bytes": n_corrupt}),

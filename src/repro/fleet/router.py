@@ -9,8 +9,13 @@ ordinary client of each shard.  This module adds only the router's own
 work: routing, shard probing, upstream pooling, the per-shard labeled
 series and the fleet block in ``/healthz``.
 
-A verify request is consistent-hashed on ``(family, die)``
-(:mod:`repro.fleet.hashing`) to its owner shard; if the owner is
+A verify request is consistent-hashed on ``(family, die_id)`` from its
+header (:mod:`repro.fleet.hashing`) to its owner shard.  The router
+rewrites only the header's ``trace`` and relays the body — a binary
+frame's raw chip bytes — upstream as the object the frame reader cut:
+it never decodes, copies or re-encodes it (a JSON request of an earlier
+client is relayed as a JSON line).  A verify request without
+``die_id`` answers ``400``.  If the owner is
 evicted or the forward fails, the request walks the ring to the next
 healthy shard — bounded by ``retry_shards`` — and only then surfaces a
 ``503``.
@@ -45,9 +50,9 @@ degrades but never wedges.
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import inspect
 import json
+import operator
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
@@ -400,22 +405,13 @@ class FleetRouter(WireFrontEnd):
 
     # -- verify routing ----------------------------------------------------
 
-    def _routing_key(self, req: dict) -> str:
-        family = req.get("family") or ""
-        die_id = req.get("die_id")
-        if isinstance(die_id, str) and die_id:
-            return routing_key(family, die_id)
-        # Legacy client without the die_id field: hash the blob itself.
-        # Identical chips still pin to identical shards.
-        blob = req.get("chip_b64") or ""
-        digest = hashlib.sha256(blob.encode("ascii")).hexdigest()[:16]
-        return routing_key(family, f"blob:{digest}")
-
     async def _accept_verify(self, req: dict, writer, write_lock) -> None:
         """Route one verify request and relay the shard's answer."""
         t0 = self._loop.time()
         t0_unix = time.time()
         ctx = None
+        # A shallow copy: only the header's trace changes, and the body
+        # bytes go upstream as the very object the frame reader cut.
         upstream = dict(req)
         if self.config.tracing:
             parsed = parse_traceparent(req.get("trace"))
@@ -443,28 +439,19 @@ class FleetRouter(WireFrontEnd):
     async def _route_verify(self, req: dict, request_id: Any):
         """Pick the owner shard, forward with bounded ring-walk retry;
         returns ``(response, shard_id_or_None)``."""
-        family = req.get("family")
-        if not isinstance(family, str) or not family:
-            self.telemetry.count("fleet.rejected.bad_request")
-            return (
-                protocol.error_response(
-                    request_id,
-                    protocol.BAD_REQUEST,
-                    "verify request is missing 'family'",
-                ),
-                None,
-            )
-        if not isinstance(req.get("chip_b64"), str) or not req["chip_b64"]:
-            self.telemetry.count("fleet.rejected.bad_request")
-            return (
-                protocol.error_response(
-                    request_id,
-                    protocol.BAD_REQUEST,
-                    "verify request is missing 'chip_b64'",
-                ),
-                None,
-            )
-        candidates = self.ring.candidates(self._routing_key(req))
+        family, die_id = req.get("family"), req.get("die_id")
+        for name, value in (("family", family), ("die_id", die_id)):
+            if not isinstance(value, str) or not value:
+                self.telemetry.count("fleet.rejected.bad_request")
+                return (
+                    protocol.error_response(
+                        request_id,
+                        protocol.BAD_REQUEST,
+                        f"verify request is missing {name!r}",
+                    ),
+                    None,
+                )
+        candidates = self.ring.candidates(routing_key(family, die_id))
         # Chaos seam: "drop" hard-kills the request's owner shard just
         # before the forward — the crash-mid-traffic scenario; "error"
         # injects a routing failure, surfaced as a typed 503.
@@ -644,8 +631,10 @@ class FleetRouter(WireFrontEnd):
         ``status`` degrades with the shard map: no routable shard is
         ``alerting`` (the fleet serves nothing), a partial fleet is
         ``degraded``; otherwise the router's own monitor status (or
-        ``ok``).  The registry block sums the counts each shard last
-        reported, so one probe of the router sizes the whole fleet.
+        ``ok``).  The registry block sizes the whole fleet from what
+        each shard last reported: ``families`` is the largest count
+        (every shard holds every family), while ``verifications`` and
+        ``audit_entries`` sum the rows each shard stores.
         """
         fleet = self._fleet_block()
         status = None  # the monitor's, or ok
@@ -656,7 +645,8 @@ class FleetRouter(WireFrontEnd):
         totals: Dict[str, int] = {}
         for link in self._links.values():
             for key, value in link.last_registry.items():
-                totals[key] = totals.get(key, 0) + int(value)
+                merge = max if key == "families" else operator.add
+                totals[key] = merge(totals.get(key, 0), int(value))
         return self._health(
             queue_depth=0, registry=totals, status=status, fleet=fleet
         )

@@ -8,12 +8,15 @@ the request must carry a ticket whose hash
     SHA256(client_id | endpoint | body_hash | nonce)
 
 has at least ``difficulty`` leading zero *bits*.  ``body_hash`` is the
-hex SHA-256 of the request body excluding the ``pow`` field itself and
-the router-rewritten ``trace`` field, so a ticket binds to one exact
-request — replaying it with a different
-chip, family or request id changes ``body_hash`` and invalidates the
-ticket.  Replaying it with the *same* body is caught by the server-side
-replay cache: each ticket digest is accepted exactly once.
+hex SHA-256 of the request excluding the ``pow`` field itself and the
+router-rewritten ``trace`` field: for a binary verify frame, the
+canonical JSON of its header followed by the raw chip bytes of its
+body; for a JSON request (the base64 form earlier clients send), the
+canonical JSON of the whole request.  A ticket thus binds to one exact
+request — replaying it with a different chip, family or request id
+changes ``body_hash`` and invalidates the ticket.  Replaying it with
+the *same* body is caught by the server-side replay cache: each ticket
+digest is accepted exactly once.
 
 ``difficulty`` counts bits, so each +1 doubles expected minting work;
 0 disables the gate entirely (the server then never answers 428).
@@ -51,14 +54,21 @@ _EXCLUDED_FIELDS = ("pow", "nonce", "difficulty", "trace")
 
 
 def body_hash(body: dict) -> str:
-    """Hex SHA-256 of a request body, excluding the ticket fields."""
+    """Hex SHA-256 of a request body, excluding the ticket fields.
+
+    Raw chip bytes (a binary frame's body, under ``chip_b64``) are
+    hashed as they are, after the canonical header — never JSON-dumped.
+    """
     trimmed = {
         k: v for k, v in body.items() if k not in _EXCLUDED_FIELDS
     }
-    blob = json.dumps(
-        trimmed, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    chip = b""
+    if isinstance(trimmed.get("chip_b64"), bytes):
+        chip = trimmed.pop("chip_b64")
+    header = json.dumps(trimmed, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(header.encode("utf-8"))
+    digest.update(chip)
+    return digest.hexdigest()
 
 
 def ticket_digest(

@@ -3,9 +3,10 @@
 The serving layer over the batch engine: a manufacturer publishes
 family parameters into a persistent :class:`WatermarkRegistry`
 (SQLite, ``flashmark.registry/v1``, hash-chained audit log), a
-:class:`VerificationServer` answers newline-delimited-JSON verify
-requests (bounded queue, 429-style backpressure, per-client token
-buckets, micro-batching into :func:`repro.engine.verify_population`),
+:class:`VerificationServer` answers ``flashmark.wire/v1`` verify
+requests, binary frames carrying raw chip bytes (bounded queue,
+429-style backpressure, per-client token buckets, micro-batching into
+:func:`repro.engine.verify_population`),
 and a :class:`LoadClient` replays open- or closed-loop traffic to
 measure p50/p95/p99 latency and throughput.
 

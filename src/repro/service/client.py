@@ -56,7 +56,8 @@ class ServiceError(RuntimeError):
 
 
 class VerificationClient:
-    """One NDJSON connection to a verification server."""
+    """One ``flashmark.wire/v1`` connection to a verification server
+    (or the fleet router)."""
 
     def __init__(self, reader, writer):
         self._reader = reader
@@ -102,10 +103,12 @@ class VerificationClient:
         any bytes hit the wire — the server would reject it anyway, so
         failing locally saves shipping megabytes to earn a ``400``.
         """
-        frame = protocol.encode_frame(req)
-        if len(frame) > protocol.MAX_FRAME_BYTES:
-            raise protocol.FrameTooLarge(len(frame))
-        self._writer.write(frame)
+        chunks = protocol.frame_chunks(req)
+        size = sum(len(chunk) for chunk in chunks)
+        if size > protocol.MAX_FRAME_BYTES:
+            raise protocol.FrameTooLarge(size)
+        for chunk in chunks:  # a binary frame's body goes out uncopied
+            self._writer.write(chunk)
         await self._writer.drain()
         line = await self._frames.read_frame()
         if not line:

@@ -4,19 +4,23 @@ A :class:`~repro.service.server.VerificationServer` and a
 :class:`~repro.fleet.router.FleetRouter` look the same from outside: one
 TCP port speaking ``flashmark.wire/v1`` frames, which also answers plain
 HTTP ``GET /healthz`` and ``GET /metrics`` (told apart by sniffing the
-first line).  :class:`WireFrontEnd` is that port, written once:
+first frame).  :class:`WireFrontEnd` is that port, written once:
 
 * binding and closing the socket (frames capped at
   :data:`~repro.service.protocol.MAX_FRAME_BYTES`), ``port`` /
   ``endpoint`` and ``async with``;
-* the per-connection loop: an oversized frame answers ``400`` and the
-  connection lives on, bad JSON answers ``400``, verify ops run as
-  tasks that are gathered at EOF, and open connections are counted;
+* the per-connection loop: :class:`~repro.service.protocol.FrameReader`
+  cuts JSON lines and binary verify frames (the only place frames are
+  cut), an oversized frame — a long line, or a binary frame declaring
+  more than the cap — answers ``400`` and the connection lives on, an
+  unparseable frame answers ``400``, verify ops run as tasks that are
+  gathered at EOF, and open connections are counted;
 * the write-locked frame writer;
 * the HTTP sidecar (``/healthz`` JSON, ``/metrics`` Prometheus text,
   ``404`` otherwise) and :func:`http_get`, the client that probes and
   scrapes it;
-* finishing a verify request: the ``<ns>.latency_s`` histogram with its
+* finishing a verify request: the ``<ns>.latency_s`` histogram (one
+  bucket set, :data:`LATENCY_BUCKETS`, for both roles) with its
   trace/receipt exemplar, the ``<role>.request`` span, and one
   :class:`~repro.monitor.VerificationEvent` whose outcome follows
   :func:`~repro.monitor.events.outcome_for`;
@@ -36,7 +40,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from ..telemetry import Telemetry, build_manifest
 from ..telemetry.prometheus import render_prometheus
@@ -44,7 +48,15 @@ from . import protocol
 from .endpoint import Endpoint
 from .health import HealthReport, engine_counters
 
-__all__ = ["WireFrontEnd", "http_get"]
+__all__ = ["LATENCY_BUCKETS", "WireFrontEnd", "http_get"]
+
+#: Buckets [s] of every request-latency histogram both roles keep
+#: (``<ns>.latency_s``, the server's ``service.stage.*_s``) —
+#: service-scale, not device-scale.
+LATENCY_BUCKETS = (
+    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
+    2.5, 5.0, 10.0,
+)
 
 
 async def http_get(
@@ -100,8 +112,6 @@ class WireFrontEnd:
     _role: str
     #: ``service`` / ``fleet``: counter namespace and manifest kind.
     _ns: str
-    #: Buckets of ``<ns>.latency_s`` (None: the registry default).
-    _latency_buckets: Optional[Sequence[float]] = None
 
     def __init__(self, config, telemetry: Optional[Telemetry], monitor):
         self.config = config
@@ -192,20 +202,21 @@ class WireFrontEnd:
         tasks: set = set()
         frames = protocol.FrameReader(reader)
         try:
-            first = await self._read_frame(frames, writer, write_lock)
-            if first.split(b" ", 1)[0] in (b"GET", b"HEAD"):
-                await self._handle_http(first, frames, writer)
+            frame = await self._read_frame(frames, writer, write_lock)
+            if frame.startswith((b"GET ", b"HEAD ")):
+                await self._handle_http(frame, frames, writer)
                 return
-            line = first
-            while line:
-                stripped = line.strip()
-                if stripped:
-                    severed = await self._dispatch_line(
-                        stripped, writer, write_lock, tasks
-                    )
-                    if severed:
-                        break
-                line = await self._read_frame(frames, writer, write_lock)
+            while frame:
+                if not frame.startswith(protocol.FRAME_MAGIC):
+                    frame = frame.strip()  # a JSON line
+                if frame and await self._dispatch_line(
+                    frame, writer, write_lock, tasks
+                ):
+                    break  # severed by an injected transport fault
+                # Drop this frame before waiting on the next, so a
+                # verify body lives on only in its request.
+                frame = None
+                frame = await self._read_frame(frames, writer, write_lock)
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
         except (ConnectionResetError, BrokenPipeError):
@@ -305,7 +316,7 @@ class WireFrontEnd:
         self.telemetry.observe(
             f"{self._ns}.latency_s",
             latency,
-            buckets=self._latency_buckets,
+            buckets=LATENCY_BUCKETS,
             exemplar=exemplar,
         )
         self._record_event(

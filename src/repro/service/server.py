@@ -62,17 +62,11 @@ from ..receipts import params_hash as receipt_params_hash
 from ..telemetry import Telemetry
 from ..trace.context import TraceContext, parse_traceparent
 from . import protocol
-from .frontend import WireFrontEnd
+from .frontend import LATENCY_BUCKETS, WireFrontEnd
 from .health import HealthReport
 from .registry import RegistryError, WatermarkRegistry
 
 __all__ = ["ServerConfig", "VerificationServer"]
-
-#: Latency histogram buckets [s] — service-scale, not device-scale.
-LATENCY_BUCKETS = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
-    2.5, 5.0, 10.0,
-)
 
 
 @dataclass(frozen=True)
@@ -148,13 +142,15 @@ class _TokenBucket:
 class _Pending:
     """One admitted verify request waiting for its batch.
 
-    Carries the still-encoded chip blob: decoding an ``.npz`` chip costs
-    milliseconds, so it happens in the batch executor thread rather
-    than on the event loop during admission.
+    Carries the still-encoded chip: the raw body of a binary frame (or
+    the base64 text of a JSON request).  It is decoded in the batch
+    executor thread, where a corrupt body fails only its own request,
+    and where decoding the JSON form's base64 ``.npz`` (milliseconds)
+    cannot stall admission on the event loop.
     """
 
     request_id: Any
-    chip_b64: str
+    body: Any
     family: str
     segment: int
     n_reads: int
@@ -222,7 +218,6 @@ class VerificationServer(WireFrontEnd):
 
     _role = "server"
     _ns = "service"
-    _latency_buckets = LATENCY_BUCKETS
 
     def __init__(
         self,
@@ -507,8 +502,8 @@ class VerificationServer(WireFrontEnd):
             return protocol.error_response(
                 request_id, protocol.NOT_FOUND, str(exc)
             )
-        blob = req.get("chip_b64")
-        if not isinstance(blob, str) or not blob:
+        body = req.get("chip_b64")
+        if not isinstance(body, (str, bytes)) or not body:
             self.telemetry.count("service.rejected.bad_request")
             return protocol.error_response(
                 request_id,
@@ -528,7 +523,7 @@ class VerificationServer(WireFrontEnd):
             )
         pending = _Pending(
             request_id=request_id,
-            chip_b64=blob,
+            body=body,
             family=family,
             segment=int(req.get("segment", 0)),
             n_reads=int(req.get("n_reads", 1)),
@@ -683,20 +678,21 @@ class VerificationServer(WireFrontEnd):
         ]
 
         def _work():
-            # Decode chip blobs here, in the executor thread: each .npz
-            # decode costs milliseconds, which would otherwise stall
-            # admission on the event loop.  A corrupt blob fails only
-            # its own request, never the group.
+            # Decode chips here, in the executor thread, off the event
+            # loop (a JSON request's base64 .npz costs milliseconds).
+            # A corrupt body fails only its own request, never the
+            # group.
             chips, errors = [], {}
             decode_meta: List[Tuple[float, float]] = []
             for i, pending in enumerate(group):
                 t0_unix = time.time()
                 t0 = time.perf_counter()
                 try:
-                    chips.append(protocol.chip_from_b64(pending.chip_b64))
+                    chips.append(protocol.chip_from_b64(pending.body))
                 except protocol.ProtocolError as exc:
                     chips.append(None)
                     errors[i] = str(exc)
+                pending.body = None  # the chip now holds the state
                 decode_meta.append((t0_unix, time.perf_counter() - t0))
             good, good_tps = [], []
             for i, chip in enumerate(chips):

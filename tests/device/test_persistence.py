@@ -176,12 +176,19 @@ class TestSegmentCut:
         assert _same_die(load_chip(path), mcu)
 
 
+def _npz_bytes(chip, **kwargs) -> bytes:
+    buf = io.BytesIO()
+    save_chip(chip, buf, **kwargs)
+    return buf.getvalue()
+
+
 class TestCorruption:
-    """Stored members carry CRC-32: a damaged blob fails typed."""
+    """Stored members carry CRC-32: a damaged ``.npz`` blob (the form
+    earlier clients send) fails typed."""
 
     @pytest.fixture(scope="class")
     def blob(self):
-        return chip_to_bytes(make_mcu(seed=9, n_segments=2), segment=1)
+        return _npz_bytes(make_mcu(seed=9, n_segments=2), segment=1)
 
     def test_bit_flips_at_evenly_spaced_offsets(self, blob):
         spans = _member_data_spans(blob)
@@ -226,7 +233,7 @@ class TestCompressedFiles:
         """Files written with ``np.savez_compressed`` still load and
         verify exactly as the die they hold."""
         chip = TrafficGenerator(traffic_spec, seed=71).draw(1)[0].chip
-        with np.load(io.BytesIO(chip_to_bytes(chip))) as stored:
+        with np.load(io.BytesIO(_npz_bytes(chip))) as stored:
             np.savez_compressed(path, **dict(stored))
         with zipfile.ZipFile(path) as archive:
             assert {i.compress_type for i in archive.infolist()} == {
@@ -243,3 +250,60 @@ class TestCompressedFiles:
         assert ra.stressed_outliers == rb.stressed_outliers
         np.testing.assert_array_equal(ra.bits, rb.bits)
         assert a.manifest["device"]["now_us"] == b.manifest["device"]["now_us"]
+
+
+class TestRawForm:
+    """``chip_to_bytes`` writes the raw form: the same die as the file,
+    and every damaged byte fails its CRC-32 typed."""
+
+    def test_same_die_as_the_file(self, mcu):
+        mcu.flash.bulk_pe_cycles(1, np.zeros(4096, dtype=np.uint8), 2_000)
+        for segment in (None, 0, 1):
+            raw = chip_to_bytes(mcu, segment=segment)
+            assert raw.startswith(b"\x93FMCHIP")
+            from_file = chip_from_bytes(_npz_bytes(mcu, segment=segment))
+            assert _same_die(chip_from_bytes(raw), from_file)
+
+    def test_arrays_are_writable_copies(self, mcu):
+        raw = bytearray(chip_to_bytes(mcu, segment=0))
+        chip = chip_from_bytes(raw)
+        for name in CELL_ARRAYS:
+            cells = _cells(chip, name)
+            assert cells.flags.writeable and cells.flags.owndata
+        before = bytes(raw)
+        chip.flash.erase_segment(0)
+        assert bytes(raw) == before
+
+    def test_every_single_byte_flip_fails_typed(self):
+        from tests.service.conftest import tiny_chip
+
+        blob = chip_to_bytes(tiny_chip(seed=9))
+        for offset in range(len(blob)):
+            damaged = bytearray(blob)
+            damaged[offset] ^= 0x01
+            with pytest.raises(ChipPersistenceError):
+                chip_from_bytes(bytes(damaged))
+
+    def test_cell_count_must_match_the_geometry(self):
+        """A well-formed blob whose arrays disagree with its geometry
+        (CRC intact) still fails typed."""
+        import json
+        import struct
+        import zlib
+
+        blob = chip_to_bytes(make_mcu(seed=9, n_segments=1))
+        (header_len,) = struct.unpack_from("<I", blob, 7)
+        header = json.loads(blob[11 : 11 + header_len])
+        header["meta"]["geometry"]["segments_per_bank"] = 2
+        head = json.dumps(header).encode()
+        body = blob[:7] + struct.pack("<I", len(head)) + head
+        body += blob[11 + header_len : -4]
+        forged = body + struct.pack("<I", zlib.crc32(body))
+        with pytest.raises(ChipPersistenceError, match="cells"):
+            chip_from_bytes(forged)
+
+    def test_truncation_fails_typed(self):
+        blob = chip_to_bytes(make_mcu(seed=9, n_segments=1))
+        for keep in (0, 5, 12, len(blob) // 2, len(blob) - 1):
+            with pytest.raises(ChipPersistenceError):
+                chip_from_bytes(blob[:keep])

@@ -336,6 +336,28 @@ class TestRouterOps:
         assert strip(routed) == strip(direct)
 
 
+class TestRouterHealth:
+    def test_healthz_registry_counts_are_fleet_wide(
+        self, registry, tmp_path, draw_items
+    ):
+        """Families are replicated to every shard, so two shards over
+        one family report one; verifications sum the stored rows."""
+        items = draw_items(3, seed=99)
+
+        async def fn(router):
+            async with await VerificationClient.connect(
+                router.endpoint
+            ) as client:
+                for i, item in enumerate(items):
+                    await client.verify_chip(item.chip, FAMILY, request_id=i)
+            await router.probe_once()
+            return router.health_report()
+
+        report = fleet(registry, tmp_path, fn, n_shards=2)
+        assert report.registry["families"] == 1
+        assert report.registry["verifications"] == len(items)
+
+
 class _RecordingMonitor(FleetMonitor):
     """A fleet monitor that also keeps every event it was fed."""
 
@@ -481,6 +503,33 @@ class TestMetricsExposition:
         assert exemplar_lines
         assert any('trace_id="' + "ab" * 16 in l for l in exemplar_lines)
         assert any('shard="shard-' in l for l in exemplar_lines)
+
+    def test_relay_latency_lands_in_a_fine_bucket(
+        self, registry, tmp_path, draw_items
+    ):
+        """The router's latency histogram uses the service buckets, so
+        a relayed verify is counted at ``le="0.1"``, not only at 1 s."""
+        items = draw_items(3, seed=98)
+
+        async def fn(router):
+            async with await VerificationClient.connect(
+                router.endpoint
+            ) as client:
+                for i, item in enumerate(items):
+                    await client.verify_chip(item.chip, FAMILY, request_id=i)
+            loop = asyncio.get_running_loop()
+            return await loop.run_in_executor(
+                None, self._fetch_metrics, router.endpoint
+            )
+
+        _, text = fleet(registry, tmp_path, fn, n_shards=2)
+        fine = [
+            line
+            for line in text.splitlines()
+            if line.startswith('flashmark_fleet_latency_s_bucket{le="0.1"}')
+        ]
+        assert len(fine) == 1
+        assert int(float(fine[0].split()[1])) >= 1
 
 
 class TestParitySoak:

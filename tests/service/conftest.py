@@ -12,23 +12,60 @@ import io
 import numpy as np
 import pytest
 
-from repro.device import chip_to_bytes
+from repro.device import save_chip
 from repro.service import WatermarkRegistry, protocol
 
 FAMILY = "msp430-test"
 
 
-def whole_die_request(chip, family, *, segment):
-    """A verify request in the form earlier clients sent: the whole die
-    as ``np.savez_compressed``, indexed by ``segment``."""
-    req = protocol.verify_request(chip, family)
-    with np.load(io.BytesIO(chip_to_bytes(chip))) as stored:
-        arrays = dict(stored)
+def _b64_npz(chip, *, segment=None, compressed=False) -> str:
+    """Base64 of a ``.npz`` chip blob, as the JSON form carries it."""
     buf = io.BytesIO()
-    np.savez_compressed(buf, **arrays)
-    req["chip_b64"] = base64.b64encode(buf.getvalue()).decode("ascii")
+    save_chip(chip, buf, segment=segment)
+    if compressed:
+        with np.load(io.BytesIO(buf.getvalue())) as stored:
+            arrays = dict(stored)
+        buf = io.BytesIO()
+        np.savez_compressed(buf, **arrays)
+    return base64.b64encode(buf.getvalue()).decode("ascii")
+
+
+def segment_json_request(chip, family, *, segment):
+    """A verify request in the JSON form of the previous release: the
+    die cut to ``segment`` as a stored ``.npz``, base64 in a JSON line,
+    indexed as segment 0."""
+    req = protocol.verify_request(chip, family, segment=segment)
+    cut = segment if 0 <= segment < chip.geometry.n_segments else None
+    req["chip_b64"] = _b64_npz(chip, segment=cut)
+    return req
+
+
+def whole_die_request(chip, family, *, segment):
+    """A verify request in the JSON form earlier clients sent: the
+    whole die as ``np.savez_compressed``, indexed by ``segment``."""
+    req = protocol.verify_request(chip, family)
+    req["chip_b64"] = _b64_npz(chip, compressed=True)
     req["segment"] = segment
     return req
+
+
+def tiny_chip(seed: int = 0):
+    """A die of one 2-byte segment (16 cells): a chip-bytes body of a
+    couple of KB, small enough to flip every byte of it."""
+    from repro.device import FlashGeometry, Microcontroller
+    from repro.device.mcu import SUPPORTED_MODELS
+    from repro.phys.constants import PhysicalParams
+
+    model = "MSP430F5438"
+    return Microcontroller(
+        model=model,
+        geometry=FlashGeometry(
+            segment_bytes=2, segments_per_bank=1, n_banks=1
+        ),
+        timing=SUPPORTED_MODELS[model][1],
+        params=PhysicalParams(),
+        seed=seed,
+    )
 
 
 def result_key(result: dict) -> tuple:

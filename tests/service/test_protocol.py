@@ -1,9 +1,7 @@
 """Tests for the NDJSON wire protocol."""
 
 import asyncio
-import base64
-import io
-import zipfile
+import struct
 
 import numpy as np
 import pytest
@@ -141,8 +139,8 @@ class TestVerifyRequest:
         assert "client" not in bare and "temperature_c" not in bare
 
     def test_ships_only_the_verified_segment(self, traffic_spec):
-        """The blob is the die cut to the requested segment, stored
-        without zlib, and the request indexes it as segment 0."""
+        """The body is the die cut to the requested segment, in the raw
+        chip-bytes form, and the request indexes it as segment 0."""
         from repro.workloads.traffic import TrafficGenerator
 
         for item in TrafficGenerator(traffic_spec, seed=70).draw(2):
@@ -151,11 +149,12 @@ class TestVerifyRequest:
             for segment in (0, 1):
                 req = verify_request(chip, "fam", segment=segment)
                 assert req["segment"] == 0
-                raw = base64.b64decode(req["chip_b64"])
-                with zipfile.ZipFile(io.BytesIO(raw)) as archive:
-                    assert {
-                        info.compress_type for info in archive.infolist()
-                    } == {zipfile.ZIP_STORED}
+                raw = req["chip_b64"]
+                assert isinstance(raw, bytes)
+                assert raw.startswith(b"\x93FMCHIP")
+                frame = encode_frame(req)
+                assert frame.startswith(protocol.FRAME_MAGIC)
+                assert decode_frame(frame) == req
                 shipped = chip_from_bytes(raw)
                 assert shipped.geometry.n_segments == 1
                 assert shipped.die_id == chip.die_id
@@ -181,7 +180,7 @@ class TestVerifyRequest:
             for chip in (small, large)
         ]
         assert len(frames[0]) == len(frames[1])
-        assert len(frames[0]) < 320_000
+        assert len(frames[0]) < 240_000
 
     def test_missing_segment_ships_whole_die(self):
         """No such segment: the whole die travels with the index
@@ -205,6 +204,110 @@ class TestVerifyRequest:
     def test_invalid_base64_rejected(self):
         with pytest.raises(ProtocolError, match="undecodable"):
             protocol.chip_from_b64("!!! not base64 !!!")
+
+    def test_no_base64_written(self):
+        req = verify_request(make_mcu(seed=6, n_segments=1), "fam")
+        assert isinstance(req["chip_b64"], bytes)
+        assert b"chip_b64" not in encode_frame(req)
+
+
+class TestAcceptedForms:
+    """Every accepted form of a verify request decodes to the same die,
+    and verifies to the same report and device clock."""
+
+    def test_forms_decode_to_the_same_die(
+        self, traffic_spec, family_calibration
+    ):
+        from repro.core import WatermarkVerifier
+        from repro.engine import verify_population
+        from repro.workloads.traffic import TrafficGenerator
+        from tests.service.conftest import (
+            segment_json_request,
+            whole_die_request,
+        )
+
+        verifier = WatermarkVerifier(
+            family_calibration, traffic_spec.population.format
+        )
+        chip = TrafficGenerator(traffic_spec, seed=72).draw(1)[0].chip
+        for segment in (0, 1):
+            forms = [
+                verify_request(chip, "fam", segment=segment),
+                segment_json_request(chip, "fam", segment=segment),
+                whole_die_request(chip, "fam", segment=segment),
+            ]
+            outcomes = []
+            for req in forms:
+                wire = decode_frame(encode_frame(req))
+                result = verify_population(
+                    [chip_from_request(wire)],
+                    verifier,
+                    segment=wire["segment"],
+                )
+                (report,) = result.results
+                outcomes.append(
+                    (
+                        report.verdict,
+                        report.stressed_outliers,
+                        report.ber,
+                        report.reason,
+                        report.bits.tobytes(),
+                        result.manifest["device"]["now_us"],
+                    )
+                )
+            assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def _binary_frame(header: bytes, body: bytes) -> bytes:
+    return (
+        struct.pack("<4sII", protocol.FRAME_MAGIC, len(header), len(body))
+        + header
+        + body
+    )
+
+
+class TestBinaryFrames:
+    def test_decoded_arrays_are_writable(self):
+        chip = make_mcu(seed=7, n_segments=1)
+        req = decode_frame(encode_frame(verify_request(chip, "fam")))
+        restored = chip_from_request(req)
+        assert restored.array.vth.flags.writeable
+        assert restored.array.static.tau0_us.flags.writeable
+        restored.flash.erase_segment(0)  # the engine mutates the die
+
+    def test_reader_cuts_binary_and_json_frames(self):
+        frame = _binary_frame(b'{"op":"ping"}', b"\n\n body \n")
+        assert _read_frames(
+            frame + b'{"op":"stats"}\n' + frame, 1024, 4
+        ) == [frame, b'{"op":"stats"}\n', frame, b""]
+
+    def test_declared_size_over_cap_discards_exactly_that(self):
+        big = _binary_frame(b"{}", b"\n" * 200)
+        err, after, eof = _read_frames(big + b"after\n", 64, 3)
+        assert isinstance(err, protocol.FrameTooLarge)
+        assert err.n_bytes == len(big)
+        assert after == b"after\n"
+        assert eof == b""
+
+    def test_frame_cut_by_eof_handed_back_once(self):
+        frame = _binary_frame(b"{}", b"x" * 100)
+        cut, eof = _read_frames(frame[:50], 1024, 2)
+        assert cut == frame[:50] and eof == b""
+        with pytest.raises(ProtocolError, match="declares"):
+            decode_frame(cut)
+
+    def test_header_must_be_an_object(self):
+        with pytest.raises(ProtocolError, match="JSON object"):
+            decode_frame(_binary_frame(b"[1]", b""))
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            decode_frame(_binary_frame(b"{nope", b""))
+
+    def test_lead_byte_without_magic_is_a_json_line(self):
+        assert _read_frames(b"\xf8garbage\n", 1024, 1) == [
+            b"\xf8garbage\n"
+        ]
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            decode_frame(b"\xf8garbage\n")
 
 
 class TestResponses:

@@ -7,8 +7,8 @@ calls on the same chips.
 """
 
 import asyncio
-import base64
 import json
+import struct
 import urllib.error
 import urllib.request
 
@@ -30,6 +30,8 @@ from tests.service.conftest import (
     FAMILY,
     report_key,
     result_key,
+    segment_json_request,
+    tiny_chip,
     whole_die_request,
 )
 
@@ -209,8 +211,10 @@ class TestVerify:
 
 
 class TestWireForms:
-    """A request ships one stored segment; earlier clients shipped the
-    whole die compressed.  Both verify exactly as the engine does."""
+    """A request ships one segment as a binary frame.  Servers still
+    read the JSON forms of earlier clients: the stored one-segment
+    ``.npz`` and the compressed whole-die ``.npz``, base64 in a JSON
+    line.  All three verify exactly as the engine does."""
 
     def test_segment_and_whole_die_forms_match_direct(
         self, registry, traffic_spec, family_calibration
@@ -222,37 +226,50 @@ class TestWireForms:
             async with await VerificationClient.connect(
                 server.endpoint
             ) as client:
-                new = [
+                binary = [
                     await client.verify_chip(chip, FAMILY, segment=s)
                     for chip, s in cases
                 ]
-                old = [
+                segment_json = [
+                    await client.call(
+                        segment_json_request(chip, FAMILY, segment=s)
+                    )
+                    for chip, s in cases
+                ]
+                whole_json = [
                     await client.call(
                         whole_die_request(chip, FAMILY, segment=s)
                     )
                     for chip, s in cases
                 ]
-            return new, old
+            return binary, segment_json, whole_json
 
-        new, old = serve(registry, fn)
+        binary, segment_json, whole_json = serve(registry, fn)
         verifier = WatermarkVerifier(
             family_calibration, traffic_spec.population.format
         )
-        for (chip, s), a, b in zip(cases, new, old):
+        for (chip, s), a, b, c in zip(
+            cases, binary, segment_json, whole_json
+        ):
             (report,) = verify_population([chip], verifier, segment=s).results
-            assert result_key(a) == result_key(b) == report_key(chip, report)
+            assert (
+                result_key(a)
+                == result_key(b)
+                == result_key(c)
+                == report_key(chip, report)
+            )
 
     def test_large_die_verifies_over_the_wire(
         self, registry, traffic_spec, family_calibration
     ):
         """A 128-segment die used to need a ~26 MB frame, over the
-        16 MB cap; one segment of it travels in ~0.3 MB."""
+        16 MB cap; one segment of it travels in ~0.24 MB."""
         chip = make_mcu(seed=310, n_segments=128)
         assert len(chip_to_bytes(chip)) > protocol.MAX_FRAME_BYTES
         frame = protocol.encode_frame(
             protocol.verify_request(chip, FAMILY, segment=77)
         )
-        assert len(frame) < 320_000
+        assert len(frame) < 240_000
 
         async def fn(server):
             async with await VerificationClient.connect(
@@ -270,9 +287,9 @@ class TestWireForms:
     def test_bit_flipped_blob_400_and_connection_survives(self, registry):
         chip = make_mcu(seed=311, n_segments=2)
         req = protocol.verify_request(chip, FAMILY, segment=1)
-        raw = bytearray(base64.b64decode(req["chip_b64"]))
-        raw[len(raw) // 2] ^= 0x10  # inside a stored cell array
-        req["chip_b64"] = base64.b64encode(bytes(raw)).decode("ascii")
+        raw = bytearray(req["chip_b64"])
+        raw[len(raw) // 2] ^= 0x10  # inside a cell array
+        req["chip_b64"] = bytes(raw)
 
         async def fn(server):
             async with await VerificationClient.connect(
@@ -286,6 +303,113 @@ class TestWireForms:
         err, pong = serve(registry, fn)
         assert err.code == protocol.BAD_REQUEST
         assert "undecodable chip blob" in err.reason
+        assert pong == {"pong": True}
+
+    def test_every_body_byte_flip_400_then_pong(self, registry):
+        """Flip each byte of a binary frame's body in turn: every such
+        frame fails alone with 400, and the connection still pongs."""
+        req = protocol.verify_request(tiny_chip(5), FAMILY)
+        body = req["chip_b64"]
+        frames = []
+        for offset in range(len(body)):
+            damaged = bytearray(body)
+            damaged[offset] ^= 0x01
+            frames.append(
+                protocol.encode_frame(
+                    dict(req, id=offset, chip_b64=bytes(damaged))
+                )
+            )
+
+        async def fn(server):
+            reader, writer = await asyncio.open_connection(
+                *server.address, limit=protocol.MAX_FRAME_BYTES
+            )
+            writer.write(b"".join(frames))
+            writer.write(protocol.encode_frame({"op": "ping", "id": "p"}))
+            await writer.drain()
+            replies = [
+                json.loads(await reader.readline())
+                for _ in range(len(frames) + 1)
+            ]
+            writer.close()
+            await writer.wait_closed()
+            return replies
+
+        replies = serve(
+            registry, fn, queue_depth=len(frames) + 1, batch_window_s=0.0
+        )
+        pong = [r for r in replies if r["id"] == "p"]
+        assert pong == [protocol.ok_response("p", {"pong": True})]
+        errors = {r["id"]: r for r in replies if r["id"] != "p"}
+        assert sorted(errors) == list(range(len(body)))
+        for reply in errors.values():
+            assert reply["error"]["code"] == protocol.BAD_REQUEST
+            assert "undecodable chip blob" in reply["error"]["reason"]
+
+    def test_declared_length_over_cap_400_connection_lives(
+        self, registry
+    ):
+        """A binary frame declaring more than the cap is discarded, all
+        of its declared bytes, without buffering them; the next frame
+        on the connection is served."""
+        header = b"{}"
+        body_len = protocol.MAX_FRAME_BYTES
+        prefix = struct.pack(
+            "<4sII", protocol.FRAME_MAGIC, len(header), body_len
+        )
+
+        async def fn(server):
+            reader, writer = await asyncio.open_connection(
+                *server.address
+            )
+            writer.write(prefix + header + bytes(body_len))
+            writer.write(protocol.encode_frame({"op": "ping", "id": 2}))
+            await writer.drain()
+            first = json.loads(await reader.readline())
+            second = json.loads(await reader.readline())
+            writer.close()
+            await writer.wait_closed()
+            counters = server.telemetry.registry.snapshot()["counters"]
+            return first, second, counters
+
+        first, second, counters = serve(registry, fn)
+        assert first["error"]["code"] == protocol.BAD_REQUEST
+        assert "exceeds" in first["error"]["reason"]
+        assert second == protocol.ok_response(2, {"pong": True})
+        assert counters["service.rejected.oversized"] == 1
+
+    def test_frame_truncated_at_eof_neither_hangs_nor_crashes(
+        self, registry
+    ):
+        frame = protocol.encode_frame(
+            protocol.verify_request(make_mcu(seed=312, n_segments=1), FAMILY)
+        )
+
+        async def fn(server):
+            replies = []
+            for cut in (3, 10, len(frame) // 2, len(frame) - 1):
+                reader, writer = await asyncio.open_connection(
+                    *server.address
+                )
+                writer.write(frame[:cut])
+                writer.write_eof()
+                raw = await asyncio.wait_for(reader.read(), timeout=10)
+                replies.append(
+                    [json.loads(line) for line in raw.splitlines()]
+                )
+                writer.close()
+                await writer.wait_closed()
+            async with await VerificationClient.connect(
+                server.endpoint
+            ) as client:
+                pong = await client.ping()
+            return replies, pong
+
+        replies, pong = serve(registry, fn)
+        for reply in replies:
+            assert [r["error"]["code"] for r in reply] == [
+                protocol.BAD_REQUEST
+            ]
         assert pong == {"pong": True}
 
 
