@@ -26,9 +26,12 @@ import json
 import sqlite3
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union,
+)
 
 from ..core.calibration import FamilyCalibration
 from ..core.verifier import WatermarkFormat
@@ -125,6 +128,11 @@ class VerificationRecord:
     created_unix_s: float
 
 
+def _die_key(die_id: Union[int, str]) -> str:
+    """The stored form of a die id: 12 hex digits for ints."""
+    return f"0x{die_id:012X}" if isinstance(die_id, int) else str(die_id)
+
+
 def _format_to_dict(fmt: WatermarkFormat) -> dict:
     return asdict(fmt)
 
@@ -182,14 +190,18 @@ class WatermarkRegistry:
                         "(no schema table)"
                     )
                 self._conn.executescript(_TABLES)
-                self._conn.execute(
-                    "INSERT INTO meta (key, value) VALUES ('schema', ?)",
-                    (REGISTRY_SCHEMA,),
-                )
-                self._conn.commit()
-                self._append_audit(
-                    "registry", "registry.init", {"path": self.path}
-                )
+                with self._transaction():
+                    self._conn.execute(
+                        "INSERT INTO meta (key, value) "
+                        "VALUES ('schema', ?)",
+                        (REGISTRY_SCHEMA,),
+                    )
+                    self._append_audit(
+                        self._head_hash(),
+                        "registry",
+                        "registry.init",
+                        {"path": self.path},
+                    )
                 return
             stored = self._conn.execute(
                 "SELECT value FROM meta WHERE key='schema'"
@@ -276,7 +288,7 @@ class WatermarkRegistry:
             self.fingerprint(sign_key) if sign_key is not None else None
         )
         now = time.time()
-        with self._lock:
+        with self._transaction():
             existing = self._conn.execute(
                 "SELECT family_id FROM families WHERE family_id=?",
                 (family_id,),
@@ -303,8 +315,10 @@ class WatermarkRegistry:
                     now,
                 ),
             )
-            self._conn.commit()
+            # Family row and its audit entry commit together: a failed
+            # append leaves neither behind.
             self._append_audit(
+                self._head_hash(),
                 actor,
                 "family.republish" if existing else "family.publish",
                 {
@@ -364,33 +378,80 @@ class WatermarkRegistry:
     ) -> int:
         """Append one verification outcome; returns its sequence number.
 
-        May raise ``sqlite3.OperationalError`` (e.g. ``database is
-        locked``) under concurrent writers; the verification server
-        retries with backoff and degrades to unrecorded history rather
-        than failing the verdict.
+        The one-record case of :meth:`record_verifications`: the
+        history row and its ``verification.record`` audit entry commit
+        together or not at all.
+        """
+        [(seq, _)] = self.record_verifications(
+            [
+                {
+                    "family_id": family_id,
+                    "die_id": die_id,
+                    "verdict": verdict,
+                    "ber": ber,
+                    "reason": reason,
+                    "client": client,
+                }
+            ]
+        )
+        return seq
+
+    def record_verifications(
+        self, records: Iterable[Mapping[str, Any]]
+    ) -> List[Tuple[int, str]]:
+        """Append many verification outcomes in one transaction.
+
+        Each record is a mapping of :meth:`record_verification`'s
+        arguments (``family_id``, ``die_id``, ``verdict`` and optionally
+        ``ber``, ``reason``, ``client``).  Records are appended in
+        order, each history row followed by its chained
+        ``verification.record`` audit entry, and the whole batch commits
+        once — so a batch costs one fsync, not two per record.  Returns
+        ``(seq, entry_hash)`` per record: the history row's sequence
+        number and the hash of its own audit entry (what a receipt for
+        that verdict anchors on).
+
+        Any exception rolls the whole batch back, leaving neither
+        history rows nor audit entries behind, so a retry records each
+        die exactly once.  May raise ``sqlite3.OperationalError`` (e.g.
+        ``database is locked``) under concurrent writers; the
+        verification server retries with backoff and degrades to
+        unrecorded history rather than failing the verdict.
         """
         # Injection point: a scheduled sqlite3.OperationalError here
-        # reproduces a locked registry deterministically.
+        # reproduces a locked registry deterministically (once per
+        # transaction attempt).
         fault_point("service.registry")
-        die = (
-            f"0x{die_id:012X}" if isinstance(die_id, int) else str(die_id)
-        )
-        now = time.time()
-        with self._lock:
-            cur = self._conn.execute(
-                "INSERT INTO verifications "
-                "(family_id, die_id, verdict, ber, reason, client, "
-                " created_unix_s) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (family_id, die, verdict, ber, reason, client, now),
-            )
-            self._conn.commit()
-            seq = int(cur.lastrowid)
-            self._append_audit(
-                client or "verifier",
-                "verification.record",
-                {"seq": seq, "die_id": die, "verdict": verdict},
-            )
-        return seq
+        appended: List[Tuple[int, str]] = []
+        with self._transaction():
+            prev_hash = self._head_hash()
+            for record in records:
+                die = _die_key(record["die_id"])
+                verdict = record["verdict"]
+                client = record.get("client")
+                cur = self._conn.execute(
+                    "INSERT INTO verifications "
+                    "(family_id, die_id, verdict, ber, reason, client, "
+                    " created_unix_s) VALUES (?, ?, ?, ?, ?, ?, ?)",
+                    (
+                        record["family_id"],
+                        die,
+                        verdict,
+                        record.get("ber"),
+                        record.get("reason"),
+                        client,
+                        time.time(),
+                    ),
+                )
+                seq = int(cur.lastrowid)
+                prev_hash = self._append_audit(
+                    prev_hash,
+                    client or "verifier",
+                    "verification.record",
+                    {"seq": seq, "die_id": die, "verdict": verdict},
+                )
+                appended.append((seq, prev_hash))
+        return appended
 
     def history(
         self,
@@ -402,13 +463,8 @@ class WatermarkRegistry:
         """Verification history, newest first, optionally filtered."""
         clauses, params = [], []
         if die_id is not None:
-            die = (
-                f"0x{die_id:012X}"
-                if isinstance(die_id, int)
-                else str(die_id)
-            )
             clauses.append("die_id=?")
-            params.append(die)
+            params.append(_die_key(die_id))
         if family_id is not None:
             clauses.append("family_id=?")
             params.append(family_id)
@@ -445,29 +501,56 @@ class WatermarkRegistry:
         )
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
+    @contextmanager
+    def _transaction(self) -> Iterator[None]:
+        """One write transaction under the lock: commit on success,
+        roll back on any exception.
+
+        ``BEGIN IMMEDIATE`` takes SQLite's write lock before the chain
+        head is read, so no other connection can append between that
+        read and this transaction's own entries.
+        """
+        with self._lock:
+            self._conn.execute("BEGIN IMMEDIATE")
+            try:
+                yield
+            except BaseException:
+                self._conn.rollback()
+                raise
+            self._conn.commit()
+
+    def _head_hash(self) -> str:
+        """The newest entry's hash, genesis if empty (caller holds the
+        lock)."""
+        last = self._conn.execute(
+            "SELECT entry_hash FROM audit_log ORDER BY seq DESC LIMIT 1"
+        ).fetchone()
+        return last["entry_hash"] if last is not None else _GENESIS
+
     def _append_audit(
-        self, actor: str, action: str, detail: Dict[str, Any]
-    ) -> None:
-        """Chain-hash and append one audit entry (caller holds the lock
-        or accepts its own commit)."""
+        self,
+        prev_hash: str,
+        actor: str,
+        action: str,
+        detail: Dict[str, Any],
+    ) -> str:
+        """Chain one audit entry onto ``prev_hash``; returns its hash.
+
+        Runs inside the caller's :meth:`_transaction`, which commits it
+        together with the mutation it records.
+        """
         detail_json = json.dumps(detail, sort_keys=True)
         now = time.time()
-        with self._lock:
-            last = self._conn.execute(
-                "SELECT entry_hash FROM audit_log "
-                "ORDER BY seq DESC LIMIT 1"
-            ).fetchone()
-            prev_hash = last["entry_hash"] if last is not None else _GENESIS
-            entry_hash = self._entry_hash(
-                prev_hash, now, actor, action, detail_json
-            )
-            self._conn.execute(
-                "INSERT INTO audit_log "
-                "(created_unix_s, actor, action, detail_json, prev_hash, "
-                " entry_hash) VALUES (?, ?, ?, ?, ?, ?)",
-                (now, actor, action, detail_json, prev_hash, entry_hash),
-            )
-            self._conn.commit()
+        entry_hash = self._entry_hash(
+            prev_hash, now, actor, action, detail_json
+        )
+        self._conn.execute(
+            "INSERT INTO audit_log "
+            "(created_unix_s, actor, action, detail_json, prev_hash, "
+            " entry_hash) VALUES (?, ?, ?, ?, ?, ?)",
+            (now, actor, action, detail_json, prev_hash, entry_hash),
+        )
+        return entry_hash
 
     def audit_head(self) -> str:
         """The chain head: the newest entry's hash (genesis if empty).
@@ -477,11 +560,7 @@ class WatermarkRegistry:
         entry's ``entry_hash`` in any later snapshot.
         """
         with self._lock:
-            last = self._conn.execute(
-                "SELECT entry_hash FROM audit_log "
-                "ORDER BY seq DESC LIMIT 1"
-            ).fetchone()
-        return last["entry_hash"] if last is not None else _GENESIS
+            return self._head_hash()
 
     def audit_entries(self, limit: Optional[int] = None) -> List[dict]:
         """Audit entries, oldest first."""

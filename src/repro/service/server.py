@@ -14,8 +14,11 @@ Throughput architecture::
                      checks)        429, never hangs)   compatible requests,
                                                         one engine call)
                                           │
-                                          v
+                                          v       one executor job per group
                        engine.verify_population(workers=N)
+                                          │
+                                          v
+                       registry.record_verifications (one transaction)
 
 Admission control is synchronous with the reader loop, so a client that
 floods past the queue bound gets an immediate 429-style rejection frame
@@ -23,7 +26,9 @@ per excess request — the queue never grows beyond ``queue_depth`` and
 accepted requests are never dropped.  The micro-batcher amortizes the
 engine's fan-out across concurrent clients: requests against the same
 family/segment settings that arrive within ``batch_window_s`` of each
-other share one :func:`~repro.engine.verify_population` call.
+other share one :func:`~repro.engine.verify_population` call, and
+their verdicts one registry transaction, written in the same executor
+job before any of them is answered.
 
 The port itself — socket, per-connection frame loop, the plain HTTP
 ``GET /healthz`` / ``GET /metrics`` sidecar sniffed from the first
@@ -188,7 +193,8 @@ class VerificationServer(WireFrontEnd):
     Parameters
     ----------
     registry:
-        The published-family store; also receives verification history.
+        The published-family store; also receives verification
+        history, one transaction per micro-batch group.
     config:
         Queueing/batching/rate-limit tunables.
     telemetry:
@@ -211,7 +217,8 @@ class VerificationServer(WireFrontEnd):
         A :class:`~repro.receipts.ReceiptSigner` holding the issuer's
         private key.  With one attached, verify requests carrying
         ``"receipt": true`` get a signed ``flashmark.receipt/v1``
-        document in the result, anchored on the registry's audit head.
+        document in the result, anchored on the request's own
+        ``verification.record`` audit entry.
         Without one, such requests still get their verdict — just no
         receipt (``service.receipts.unavailable`` counts the degrade).
     """
@@ -694,9 +701,13 @@ class VerificationServer(WireFrontEnd):
                     errors[i] = str(exc)
                 pending.body = None  # the chip now holds the state
                 decode_meta.append((t0_unix, time.perf_counter() - t0))
+            # Group index -> index into the engine's results (decodable
+            # chips only).
+            jobs = {}
             good, good_tps = [], []
             for i, chip in enumerate(chips):
                 if chip is not None:
+                    jobs[i] = len(good)
                     good.append(chip)
                     good_tps.append(
                         engine_ctxs[i].to_traceparent()
@@ -721,17 +732,50 @@ class VerificationServer(WireFrontEnd):
                 else None
             )
             engine_wall = time.perf_counter() - engine_t0
-            return chips, errors, result, decode_meta, (
-                engine_t0_unix, engine_wall,
+            reports = {i: result.results[j] for i, j in jobs.items()}
+            # History for the whole group is written here, in the same
+            # executor job, so the event loop never blocks on SQLite.
+            recorded = [
+                i for i, report in reports.items() if report is not None
+            ]
+            registry_meta = None
+            if self.config.record_history and recorded:
+                registry_meta = self._record_group(
+                    [
+                        {
+                            "family_id": head.family,
+                            "die_id": chips[i].die_id,
+                            "verdict": reports[i].verdict.value,
+                            "ber": reports[i].ber,
+                            "reason": reports[i].reason,
+                            "client": group[i].client,
+                        }
+                        for i in recorded
+                    ]
+                )
+            return (
+                chips,
+                errors,
+                jobs,
+                reports,
+                result,
+                decode_meta,
+                (engine_t0_unix, engine_wall),
+                recorded,
+                registry_meta,
             )
 
         try:
             (
                 chips,
                 decode_errors,
+                jobs,
+                reports,
                 result,
                 decode_meta,
                 engine_meta,
+                recorded,
+                registry_meta,
             ) = await self._loop.run_in_executor(None, _work)
         except Exception as exc:  # engine-level failure: fail the group
             self._fail_group(group, exc)
@@ -776,10 +820,40 @@ class VerificationServer(WireFrontEnd):
                             "workers": self.config.workers,
                         },
                     )
+        # Group index -> (history seq, own audit entry hash); empty when
+        # history is off or the registry stayed degraded.
+        anchors: Dict[int, Tuple[int, str]] = {}
+        if registry_meta is not None:
+            written, retries, reg_t0_unix, reg_wall = registry_meta
+            if retries:
+                self.telemetry.count("service.registry_retries", retries)
+            if written is None:
+                self.telemetry.count("service.errors.registry")
+            else:
+                anchors = dict(zip(recorded, written))
+            for i in recorded:
+                pending = group[i]
+                # Like the engine wall, the registry wall is the group's
+                # shared transaction.
+                self.telemetry.observe(
+                    "service.stage.registry_s",
+                    reg_wall,
+                    buckets=LATENCY_BUCKETS,
+                    exemplar=_trace_exemplar(pending),
+                )
+                if pending.trace is not None:
+                    seq = anchors[i][0] if i in anchors else None
+                    self.telemetry.record_span(
+                        "server.registry",
+                        reg_wall,
+                        t0_unix_s=reg_t0_unix,
+                        ctx=pending.trace.child(),
+                        attrs={"seq": seq},
+                        error=None if seq is not None else "RegistryError",
+                    )
         failures = (
             {f.index: f for f in result.failures} if result else {}
         )
-        verified = 0  # index into result.results (decodable chips only)
         for i, pending in enumerate(group):
             if i in decode_errors:
                 self.telemetry.count("service.rejected.bad_request")
@@ -792,14 +866,12 @@ class VerificationServer(WireFrontEnd):
                         )
                     )
                 continue
-            chip = chips[i]
-            job_index = verified
-            verified += 1
             if pending.future.done():
                 continue
-            report = result.results[job_index]
+            chip = chips[i]
+            report = reports[i]
             if report is None:
-                failure = failures.get(job_index)
+                failure = failures.get(jobs[i])
                 detail = (
                     failure.error.strip().splitlines()[-1]
                     if failure is not None
@@ -822,29 +894,7 @@ class VerificationServer(WireFrontEnd):
                     "speed_grade": report.payload.speed_grade,
                     "status": report.payload.status.name,
                 }
-            seq = None
-            if self.config.record_history:
-                reg_t0_unix = time.time()
-                reg_t0 = self._loop.time()
-                seq = await self._record_history(
-                    head.family, chip, report, pending.client
-                )
-                reg_wall = self._loop.time() - reg_t0
-                self.telemetry.observe(
-                    "service.stage.registry_s",
-                    reg_wall,
-                    buckets=LATENCY_BUCKETS,
-                    exemplar=_trace_exemplar(pending),
-                )
-                if pending.trace is not None:
-                    self.telemetry.record_span(
-                        "server.registry",
-                        reg_wall,
-                        t0_unix_s=reg_t0_unix,
-                        ctx=pending.trace.child(),
-                        attrs={"seq": seq},
-                        error=None if seq is not None else "RegistryError",
-                    )
+            seq, audit_entry = anchors.get(i, (None, None))
             self.telemetry.count(
                 f"service.verdict.{report.verdict.value}"
             )
@@ -869,7 +919,7 @@ class VerificationServer(WireFrontEnd):
                 # no context can still find their trace.
                 response_body["trace"] = pending.trace.to_traceparent()
             if pending.want_receipt:
-                receipt = self._issue_receipt(response_body)
+                receipt = self._issue_receipt(response_body, audit_entry)
                 if receipt is not None:
                     response_body["receipt"] = receipt
             pending.future.set_result(
@@ -892,13 +942,17 @@ class VerificationServer(WireFrontEnd):
             )
         return cached
 
-    def _issue_receipt(self, body: dict) -> Optional[dict]:
+    def _issue_receipt(
+        self, body: dict, audit_entry: Optional[str]
+    ) -> Optional[dict]:
         """Sign one verify result into a receipt, or degrade to None.
 
-        Issued strictly *after* the history write, so ``audit_head``
-        covers the receipt's own ``verification.record`` entry.  With
-        no signer configured the verdict is served receipt-less — a
-        missing key must never fail a verification
+        ``audit_head`` is ``audit_entry``, the hash of the receipt's own
+        ``verification.record`` entry, so a receipt is the same whether
+        its verdict was recorded alone or in a group.  With history
+        unrecorded (``audit_entry`` None) it falls back to the current
+        chain head.  With no signer configured the verdict is served
+        receipt-less — a missing key must never fail a verification
         (``docs/robustness.md``).
         """
         if self.receipt_signer is None:
@@ -913,7 +967,11 @@ class VerificationServer(WireFrontEnd):
                 statistic=body["statistic"],
                 params_hash=self._params_hash_for(body["family"]),
                 history_seq=body["history_seq"],
-                audit_head=self.registry.audit_head(),
+                audit_head=(
+                    audit_entry
+                    if audit_entry is not None
+                    else self.registry.audit_head()
+                ),
             )
         except (RegistryError, sqlite3.OperationalError):
             # A registry too degraded to surface its audit head cannot
@@ -923,36 +981,36 @@ class VerificationServer(WireFrontEnd):
         self.telemetry.count("service.receipts.issued")
         return receipt
 
-    async def _record_history(
-        self, family: str, chip, report, client: str
-    ) -> Optional[int]:
-        """Record one verification, riding out transient registry
-        failures (``sqlite3.OperationalError: database is locked``).
+    def _record_group(self, records: List[dict]):
+        """Record one group's verdicts in one registry transaction,
+        riding out transient failures (``sqlite3.OperationalError:
+        database is locked``).  Runs in the group's executor job.
 
-        Retries with backoff, counting ``service.registry_retries``;
-        after the attempts are exhausted the verdict is still served,
-        just unrecorded (``history_seq: null``) — a degraded registry
-        must never fail a verification the engine already completed.
+        Retries the whole transaction with backoff; after the attempts
+        are exhausted the verdicts are still served, just unrecorded
+        (``history_seq: null``) — a degraded registry must never fail a
+        verification the engine already completed.  Returns
+        ``(written, retries, t0_unix, wall_s)``: ``written`` is
+        :meth:`~WatermarkRegistry.record_verifications`' ``(seq,
+        entry_hash)`` list, or None when degraded.  Counters are left to
+        the event loop, which owns the telemetry.
         """
+        t0_unix = time.time()
+        t0 = time.perf_counter()
+        written = None
+        retries = 0
         delay = 0.005
         for attempt in range(3):
             try:
-                return self.registry.record_verification(
-                    family,
-                    chip.die_id,
-                    report.verdict.value,
-                    ber=report.ber,
-                    reason=report.reason,
-                    client=client,
-                )
+                written = self.registry.record_verifications(records)
+                break
             except sqlite3.OperationalError:
                 if attempt == 2:
                     break
-                self.telemetry.count("service.registry_retries")
-                await asyncio.sleep(delay)
+                retries += 1
+                time.sleep(delay)
                 delay *= 4
-        self.telemetry.count("service.errors.registry")
-        return None
+        return written, retries, t0_unix, time.perf_counter() - t0
 
     # -- HTTP sidecar -----------------------------------------------------
 

@@ -25,6 +25,10 @@ Span names map onto pipeline stages::
         server.engine       engine      (verify_population call)
           verify.chip       engine_worker  (pool-worker verification)
         server.registry     registry    (history write incl. retries)
+
+``engine`` and ``registry`` are group walls: one engine call and one
+registry transaction serve a whole micro-batch group, and each request
+of the group reports the full wall it waited on.
 """
 
 from __future__ import annotations

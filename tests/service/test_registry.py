@@ -1,9 +1,13 @@
 """Tests for the persistent watermark registry."""
 
+import itertools
 import sqlite3
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
+from repro.service import registry as registry_module
 from repro.service import (
     REGISTRY_SCHEMA,
     FamilyRecord,
@@ -153,6 +157,190 @@ class TestAuditChain:
         registry._conn.commit()
         with pytest.raises(RegistryError):
             registry.verify_audit_chain()
+
+
+def _flaky_entry_hash(monkeypatch, fail_on: int):
+    """Make the ``fail_on``-th audit hash computation raise, as a failed
+    audit insert would; every other call hashes normally."""
+    real = WatermarkRegistry._entry_hash
+    calls = itertools.count(1)
+
+    def flaky(*args):
+        if next(calls) == fail_on:
+            raise sqlite3.OperationalError("disk I/O error")
+        return real(*args)
+
+    monkeypatch.setattr(
+        WatermarkRegistry, "_entry_hash", staticmethod(flaky)
+    )
+
+
+def _records_per_seq(registry) -> Counter:
+    """``history seq -> number of verification.record audit entries``."""
+    return Counter(
+        e["detail"]["seq"]
+        for e in registry.audit_entries()
+        if e["action"] == "verification.record"
+    )
+
+
+RECORDS = [
+    {"family_id": FAMILY, "die_id": 0xA1, "verdict": "authentic",
+     "ber": 0.01, "client": "lab-1"},
+    {"family_id": FAMILY, "die_id": "0x0000000000B2",
+     "verdict": "counterfeit", "reason": "too few outliers"},
+    {"family_id": FAMILY, "die_id": 0xA1, "verdict": "authentic",
+     "client": "lab-2"},
+    {"family_id": FAMILY, "die_id": 0xC3, "verdict": "tampered",
+     "ber": 0.2, "reason": "signature mismatch", "client": "lab-1"},
+]
+
+
+class TestBatchedRecords:
+    """``record_verifications``: one transaction per batch, the same
+    rows and chain as one call per record, all or nothing."""
+
+    def _fresh(self, monkeypatch, family_calibration, traffic_spec):
+        """An in-memory registry on a deterministic clock that ticks
+        once per ``time.time()`` read."""
+        clock = itertools.count(1_000_000)
+        monkeypatch.setattr(
+            registry_module,
+            "time",
+            SimpleNamespace(time=lambda: float(next(clock))),
+        )
+        reg = WatermarkRegistry(":memory:")
+        reg.publish_family(
+            FAMILY, family_calibration, traffic_spec.population.format
+        )
+        return reg
+
+    def _rows(self, reg):
+        return [
+            tuple(row)
+            for row in reg._conn.execute(
+                "SELECT * FROM verifications ORDER BY seq"
+            ).fetchall()
+        ]
+
+    def test_batch_is_byte_identical_to_one_call_per_record(
+        self, monkeypatch, family_calibration, traffic_spec
+    ):
+        batched = self._fresh(monkeypatch, family_calibration, traffic_spec)
+        written = batched.record_verifications(RECORDS)
+        single = self._fresh(monkeypatch, family_calibration, traffic_spec)
+        seqs = [
+            single.record_verification(
+                r["family_id"],
+                r["die_id"],
+                r["verdict"],
+                ber=r.get("ber"),
+                reason=r.get("reason"),
+                client=r.get("client"),
+            )
+            for r in RECORDS
+        ]
+        assert [seq for seq, _ in written] == seqs
+        assert self._rows(batched) == self._rows(single)
+        # created_unix_s, prev_hash and entry_hash included.
+        assert batched.audit_entries() == single.audit_entries()
+        assert batched.verify_audit_chain() == len(RECORDS) + 2
+
+    def test_returns_each_records_own_audit_entry(self, registry):
+        written = registry.record_verifications(RECORDS)
+        by_seq = {
+            e["detail"]["seq"]: e["entry_hash"]
+            for e in registry.audit_entries()
+            if e["action"] == "verification.record"
+        }
+        assert [(seq, by_seq[seq]) for seq, _ in written] == written
+        # The last record's entry is the chain head.
+        assert written[-1][1] == registry.audit_head()
+
+    def test_failed_audit_append_leaves_no_history_row(
+        self, registry, monkeypatch
+    ):
+        """A record whose audit insert fails must not keep its history
+        row: the retry would otherwise record the die twice, the first
+        time with no audit entry."""
+        before = registry.counts()
+        _flaky_entry_hash(monkeypatch, fail_on=1)
+        with pytest.raises(sqlite3.OperationalError):
+            registry.record_verification(FAMILY, 0xA1, "authentic")
+        registry.record_verification(FAMILY, 0xA1, "authentic")  # retry
+        after = registry.counts()
+        assert after["verifications"] == before["verifications"] + 1
+        assert after["audit_entries"] == before["audit_entries"] + 1
+        seqs = [r.seq for r in registry.history(limit=1000)]
+        assert _records_per_seq(registry) == Counter(seqs)
+        registry.verify_audit_chain()
+
+    def test_failure_mid_batch_rolls_back_the_whole_batch(
+        self, registry, monkeypatch
+    ):
+        before = registry.counts()
+        head = registry.audit_head()
+        _flaky_entry_hash(monkeypatch, fail_on=3)
+        with pytest.raises(sqlite3.OperationalError):
+            registry.record_verifications(RECORDS)
+        assert registry.counts() == before
+        assert registry.audit_head() == head
+        written = registry.record_verifications(RECORDS)
+        assert len(written) == len(RECORDS)
+        assert _records_per_seq(registry) == Counter(
+            seq for seq, _ in written
+        )
+        registry.verify_audit_chain()
+
+    def test_empty_batch_writes_nothing(self, registry):
+        before = registry.counts()
+        assert registry.record_verifications([]) == []
+        assert registry.counts() == before
+
+
+class TestPublishAtomicity:
+    def test_failed_audit_append_leaves_family_unpublished(
+        self, tmp_path, monkeypatch, family_calibration, traffic_spec
+    ):
+        """The family row and its audit entry commit together, so a
+        failed append can be retried without ``replace=True``."""
+        with WatermarkRegistry(tmp_path / "reg.db") as reg:
+            before = reg.counts()
+            _flaky_entry_hash(monkeypatch, fail_on=1)
+            with pytest.raises(sqlite3.OperationalError):
+                reg.publish_family(
+                    FAMILY, family_calibration, traffic_spec.population.format
+                )
+            assert reg.counts() == before
+            with pytest.raises(RegistryError, match="unknown family"):
+                reg.get_family(FAMILY)
+            reg.publish_family(
+                FAMILY, family_calibration, traffic_spec.population.format
+            )
+            actions = [e["action"] for e in reg.audit_entries()]
+            assert actions == ["registry.init", "family.publish"]
+            reg.verify_audit_chain()
+
+    def test_clock_reads_keep_their_order(
+        self, monkeypatch, family_calibration, traffic_spec
+    ):
+        """One clock read stamps the family row, the next its audit
+        entry — the order the chain was always written in."""
+        clock = itertools.count(100)
+        monkeypatch.setattr(
+            registry_module,
+            "time",
+            SimpleNamespace(time=lambda: float(next(clock))),
+        )
+        with WatermarkRegistry(":memory:") as reg:
+            record = reg.publish_family(
+                FAMILY, family_calibration, traffic_spec.population.format
+            )
+            init, publish = reg.audit_entries()
+        assert init["created_unix_s"] == 100.0
+        assert record.published_unix_s == 101.0
+        assert publish["created_unix_s"] == 102.0
+        assert publish["prev_hash"] == init["entry_hash"]
 
 
 class TestReceiptKeyMigration:
