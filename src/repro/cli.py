@@ -323,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         action="store_true",
-        help="audit: exit 3 (instead of 1) when the hash chain is "
-        "broken — CI-gate idiom shared with 'repro trace --check'",
+        help="audit: print only the verdict line, and exit 3 (instead "
+        "of 1) when the hash chain is broken — CI-gate idiom shared "
+        "with 'repro trace --check'",
     )
 
     p = sub.add_parser(
@@ -1556,11 +1557,12 @@ def _cmd_registry(args) -> int:
                     print(f"CHECK FAILED: {exc}", file=sys.stderr)
                     return 3
                 raise
-            for entry in registry.audit_entries():
-                print(
-                    f"  #{entry['seq']:<4} {entry['actor']:<14} "
-                    f"{entry['action']:<22} {entry['detail']}"
-                )
+            if not args.check:
+                for entry in registry.audit_entries():
+                    print(
+                        f"  #{entry['seq']:<4} {entry['actor']:<14} "
+                        f"{entry['action']:<22} {entry['detail']}"
+                    )
             print(f"audit chain intact: {n} entr(ies) verified")
             return 0
     except (RegistryError, CacheError, ValueError) as exc:

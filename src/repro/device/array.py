@@ -1,10 +1,17 @@
-"""Vectorised NOR flash cell array: the physics state of a simulated die.
+"""NOR flash cell array: the physics state of a simulated die.
 
 This module holds, for every cell of a die, the evolving physical state
 (threshold voltage, wear counters) plus the static manufacture-time
-parameters, and implements the physical effect of the three primitive
-flash operations — program, erase pulse (full or aborted), read — as
-whole-slice numpy operations.
+parameters, and exposes the three primitive flash operations — program,
+erase pulse (full or aborted), read — on flat bit-index slices.
+
+The operations themselves live in the cell model,
+:mod:`repro.phys.kernels`, written once over ``(n_dies, n_cells)``
+views.  A die is a population of one: :meth:`NorFlashArray.view` hands
+the kernels ``[None, sl]`` views of its 1-D arrays and its generator,
+so the writes land here and the die draws its noise in the kernels'
+documented order.  The die's state stays in its own 1-D arrays, the
+form persistence and the wire format store.
 
 The array knows nothing about command timing, registers or protection;
 that is the :class:`~repro.device.controller.FlashController`'s job.
@@ -21,15 +28,12 @@ from typing import Optional
 
 import numpy as np
 
+from ..phys import kernels
 from ..phys.constants import PhysicalParams
-from ..phys.erase import apply_erase_transient, crossing_time_us
+from ..phys.erase import crossing_time_us
 from ..phys.program import apply_program_transient
 from ..phys.variation import StaticCellLot, sample_static_cells
-from ..phys.wear import (
-    effective_cycles,
-    programmed_level_shift,
-    tau_wear_multiplier,
-)
+from ..phys.wear import effective_cycles
 from .geometry import FlashGeometry
 
 __all__ = ["NorFlashArray"]
@@ -89,17 +93,7 @@ class NorFlashArray:
         Jitter-free; hot dies erase faster (tau shrinks) along an
         Arrhenius-like law around the calibration temperature.
         """
-        mult = tau_wear_multiplier(
-            self.n_effective(sl),
-            self.static.wear_susceptibility[sl],
-            self.params.wear,
-        )
-        cell = self.params.cell
-        temp_factor = np.exp(
-            -cell.erase_temp_coefficient_per_k
-            * (self.temperature_c - cell.nominal_temperature_c)
-        )
-        return self.static.tau0_us[sl] * mult * temp_factor
+        return kernels.tau_us(self.view(sl))[0]
 
     def erase_crossing_times_us(self, sl: slice) -> np.ndarray:
         """Partial-erase time at which each cell would read erased [us].
@@ -114,6 +108,39 @@ class NorFlashArray:
             self.params.cell.erase_slope_v_per_decade,
         )
 
+    def view(self, sl: slice) -> kernels.CellViews:
+        """The cells of ``sl`` as a population of one.
+
+        ``[None, sl]`` views of this die's arrays and its generator, the
+        form every :mod:`repro.phys.kernels` operation acts on; their
+        writes land in this die's state.
+        """
+        static = self.static
+        return kernels.CellViews(
+            params=self.params,
+            rngs=(self.rng,),
+            temperature_c=(self.temperature_c,),
+            vth=self.vth[None, sl],
+            program_cycles=self.program_cycles[None, sl],
+            erase_only_cycles=self.erase_only_cycles[None, sl],
+            programmed_since_erase=self.programmed_since_erase[None, sl],
+            tau0_us=static.tau0_us[None, sl],
+            susceptibility=static.wear_susceptibility[None, sl],
+            vth_programmed=static.vth_programmed[None, sl],
+            vth_erased=static.vth_erased[None, sl],
+        )
+
+    @staticmethod
+    def _to_program(sl: slice, pattern: np.ndarray) -> np.ndarray:
+        """The cells of ``sl`` that ``pattern`` programs (its 0 bits)."""
+        pattern = np.asarray(pattern)
+        n = sl.stop - sl.start
+        if pattern.shape != (n,):
+            raise ValueError(
+                f"pattern length {pattern.shape} does not match slice ({n},)"
+            )
+        return pattern == 0
+
     # -- primitive operations -------------------------------------------
 
     def program_bits(self, sl: slice, pattern: np.ndarray) -> None:
@@ -123,33 +150,11 @@ class NorFlashArray:
         are left untouched (whatever their current state), pattern-0
         cells are charged to their programmed level.
         """
-        pattern = np.asarray(pattern)
-        n = sl.stop - sl.start
-        if pattern.shape != (n,):
-            raise ValueError(
-                f"pattern length {pattern.shape} does not match slice ({n},)"
-            )
-        target = pattern == 0
-        if not np.any(target):
+        mask = self._to_program(sl, pattern)[None, :]
+        if not np.any(mask):
             return
-        idx = np.flatnonzero(target) + sl.start
-        self.program_cycles[idx] += 1.0
-        n_eff = effective_cycles(
-            self.program_cycles[idx],
-            self.erase_only_cycles[idx],
-            self.params.wear,
-        )
-        shift = programmed_level_shift(
-            n_eff, self.params.wear, self.static.wear_susceptibility[idx]
-        )
-        noise_sigma = self.params.noise.program_sigma_v
-        noise = (
-            self.rng.normal(0.0, noise_sigma, size=idx.size)
-            if noise_sigma > 0.0
-            else 0.0
-        )
-        self.vth[idx] = self.static.vth_programmed[idx] + shift + noise
-        self.programmed_since_erase[idx] = True
+        cells = self.view(sl)
+        cells.vth[mask] = kernels.program_targets(cells, mask)
 
     def partial_program_bits(
         self, sl: slice, pattern: np.ndarray, t_us: float
@@ -164,42 +169,21 @@ class NorFlashArray:
         """
         if t_us < 0:
             raise ValueError("program duration must be non-negative")
-        pattern = np.asarray(pattern)
-        n = sl.stop - sl.start
-        if pattern.shape != (n,):
-            raise ValueError(
-                f"pattern length {pattern.shape} does not match slice ({n},)"
-            )
-        target = pattern == 0
-        if not np.any(target) or t_us == 0:
+        mask = self._to_program(sl, pattern)[None, :]
+        if not np.any(mask) or t_us == 0:
             return
         cell = self.params.cell
-        fraction = min(1.0, t_us / cell.program_t_full_us)
-        idx = np.flatnonzero(target) + sl.start
-        self.program_cycles[idx] += fraction
-        n_eff = effective_cycles(
-            self.program_cycles[idx],
-            self.erase_only_cycles[idx],
-            self.params.wear,
+        cells = self.view(sl)
+        target = kernels.program_targets(
+            cells, mask, bump=min(1.0, t_us / cell.program_t_full_us)
         )
-        shift = programmed_level_shift(
-            n_eff, self.params.wear, self.static.wear_susceptibility[idx]
-        )
-        sigma = self.params.noise.program_sigma_v
-        noise = (
-            self.rng.normal(0.0, sigma, size=idx.size)
-            if sigma > 0.0
-            else 0.0
-        )
-        full_target = self.static.vth_programmed[idx] + shift + noise
-        self.vth[idx] = apply_program_transient(
-            self.vth[idx],
-            full_target,
+        cells.vth[mask] = apply_program_transient(
+            cells.vth[mask],
+            target,
             t_us,
             cell.program_t_full_us,
             cell.program_tau_us,
         )
-        self.programmed_since_erase[idx] = True
 
     def erase_pulse(self, sl: slice, t_us: float) -> None:
         """Apply the erase voltage to all cells of ``sl`` for ``t_us``.
@@ -208,23 +192,7 @@ class NorFlashArray:
         cell to reach its erased floor); Flashmark's partial erase aborts
         after a few tens of microseconds, freezing the transient.
         """
-        n = sl.stop - sl.start
-        jitter_sigma = self.params.noise.erase_jitter_sigma
-        tau = self.current_tau_us(sl)
-        if jitter_sigma > 0.0:
-            tau = tau * self.rng.lognormal(0.0, jitter_sigma, size=n)
-        self.vth[sl] = apply_erase_transient(
-            self.vth[sl],
-            t_us,
-            tau,
-            self.static.vth_erased[sl],
-            self.params.cell.erase_slope_v_per_decade,
-        )
-        # Erase-only damage applies to cells that held no programmed
-        # charge (far lower tunnelling current when the gate is empty).
-        unprogrammed = ~self.programmed_since_erase[sl]
-        self.erase_only_cycles[sl] += unprogrammed
-        self.programmed_since_erase[sl] = False
+        kernels.erase_pulse(self.view(sl), t_us)
 
     def read_bits(self, sl: slice, n_reads: int = 1) -> np.ndarray:
         """Sense the cells of ``sl``; returns uint8 bits (1 = erased).
@@ -233,28 +201,7 @@ class NorFlashArray:
         vote over independent reads — the AnalyzeSegment behaviour of the
         paper's Fig. 3.
         """
-        if n_reads < 1 or n_reads % 2 == 0:
-            raise ValueError("n_reads must be a positive odd number")
-        n = sl.stop - sl.start
-        sigma = self.params.noise.read_sigma_v
-        v_ref = self.params.cell.v_ref
-        if sigma == 0.0:
-            bits = (self.vth[sl] < v_ref).astype(np.uint8)
-        else:
-            noise = self.rng.normal(0.0, sigma, size=(n_reads, n))
-            ones = np.count_nonzero(
-                self.vth[sl] + noise < v_ref, axis=0
-            )
-            bits = (ones > n_reads // 2).astype(np.uint8)
-        disturb = self.params.noise.read_disturb_v_per_read
-        if disturb > 0.0:
-            # Weak programming of the sensed cells: thresholds creep up,
-            # bounded by the programmed target level.
-            self.vth[sl] = np.minimum(
-                self.vth[sl] + disturb * n_reads,
-                self.static.vth_programmed[sl],
-            )
-        return bits
+        return kernels.majority_read(self.view(sl), n_reads)[0]
 
     # -- bulk fast path ---------------------------------------------------
 
@@ -277,56 +224,27 @@ class NorFlashArray:
             raise ValueError("n_cycles must be non-negative")
         if n_cycles == 0:
             return
-        pattern = np.asarray(pattern)
-        n = sl.stop - sl.start
-        if pattern.shape != (n,):
-            raise ValueError(
-                f"pattern length {pattern.shape} does not match slice ({n},)"
-            )
-        programmed_bits = pattern == 0  # stressed, "bad" cells
+        programmed_bits = self._to_program(sl, pattern)  # "bad" cells
         erased_bits = ~programmed_bits  # untouched, "good" cells
 
         # Wear accounting, matching the loop semantics exactly:
         # cycle 1's erase charges an erase-only cycle to every cell that
         # was not programmed on entry; afterwards, pattern-0 cells are
         # always programmed when the erase hits, pattern-1 cells never are.
-        first_erase_counts = ~self.programmed_since_erase[sl]
-        self.erase_only_cycles[sl][first_erase_counts] += 1.0
         eo = self.erase_only_cycles[sl]
+        eo[~self.programmed_since_erase[sl]] += 1.0
         eo[erased_bits] += float(n_cycles - 1)
-        self.erase_only_cycles[sl] = eo
-        pc = self.program_cycles[sl]
-        pc[programmed_bits] += float(n_cycles)
-        self.program_cycles[sl] = pc
 
-        # Final state: pattern programmed (last loop operation).
-        idx_all = np.arange(sl.start, sl.stop)
-        idx_p = idx_all[programmed_bits]
-        idx_e = idx_all[erased_bits]
-        if idx_p.size:
-            n_eff = effective_cycles(
-                self.program_cycles[idx_p],
-                self.erase_only_cycles[idx_p],
-                self.params.wear,
-            )
-            shift = programmed_level_shift(
-                n_eff,
-                self.params.wear,
-                self.static.wear_susceptibility[idx_p],
-            )
-            sigma = self.params.noise.program_sigma_v
-            noise = (
-                self.rng.normal(0.0, sigma, size=idx_p.size)
-                if sigma > 0.0
-                else 0.0
-            )
-            self.vth[idx_p] = self.static.vth_programmed[idx_p] + shift + noise
-        if idx_e.size:
-            self.vth[idx_e] = self.static.vth_erased[idx_e]
-        flags = self.programmed_since_erase[sl]
-        flags[programmed_bits] = True
-        flags[erased_bits] = False
-        self.programmed_since_erase[sl] = flags
+        # Final state: pattern programmed (last loop operation), with
+        # the program cycles of all n_cycles charged at once.
+        cells = self.view(sl)
+        mask = programmed_bits[None, :]
+        cells.vth[mask] = kernels.program_targets(
+            cells, mask, bump=float(n_cycles)
+        )
+        erased = erased_bits[None, :]
+        cells.vth[erased] = cells.vth_erased[erased]
+        cells.programmed_since_erase[erased] = False
 
     # -- lifecycle -------------------------------------------------------
 

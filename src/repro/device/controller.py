@@ -420,13 +420,12 @@ class FlashController:
         # imports numpy.ma on the first np.unique call, which every
         # forked engine worker would pay again on each imprint.
         grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
+        from ..phys.wear import effective_cycles as _effective
         from ..phys.wear import programmed_level_shift as _shift
 
         t_max = np.empty_like(grid)
         for i, k in enumerate(grid):
-            n_eff = (
-                base_pc + k + wearp.erase_only_fraction * (base_eo + 1.0)
-            )
+            n_eff = _effective(base_pc + k, base_eo + 1.0, wearp)
             tau = tau0 * _mult(n_eff, suscept, wearp)
             crossings = _crossing(
                 vth_p + _shift(n_eff, wearp, suscept),

@@ -27,12 +27,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..phys.constants import PhysicalParams
-from ..phys.erase import apply_erase_transient
-from ..phys.wear import (
-    effective_cycles,
-    programmed_level_shift,
-    tau_wear_multiplier,
-)
+from ..phys.kernels import program_targets
 from .array import NorFlashArray
 from .errors import FlashCommandError
 from .geometry import FlashGeometry
@@ -121,32 +116,12 @@ class MlcNorFlash:
         if levels.min() < 0 or levels.max() > 3:
             raise FlashCommandError("MLC levels must be 0..3")
         sl = self.geometry.segment_bit_slice(segment)
-        array = self.array
-        idx_all = np.arange(sl.start, sl.stop)
-        target = np.asarray(MLC_LEVELS_V)[levels]
-        charged = levels > 0
-        idx = idx_all[charged]
-        if idx.size:
-            array.program_cycles[idx] += 1.0
-            n_eff = effective_cycles(
-                array.program_cycles[idx],
-                array.erase_only_cycles[idx],
-                self.params.wear,
-            )
-            shift = programmed_level_shift(
-                n_eff,
-                self.params.wear,
-                array.static.wear_susceptibility[idx],
-            )
-            sigma = self.params.noise.program_sigma_v
-            noise = (
-                self.rng.normal(0.0, sigma, size=idx.size)
-                if sigma > 0
-                else 0.0
-            )
-            placed = target[charged] + shift + noise
-            array.vth[idx] = np.maximum(array.vth[idx], placed)
-            array.programmed_since_erase[idx] = True
+        charged = (levels > 0)[None, :]
+        if np.any(charged):
+            cells = self.array.view(sl)
+            level = np.asarray(MLC_LEVELS_V)[levels][None, :]
+            placed = program_targets(cells, charged, level=level)
+            cells.vth[charged] = np.maximum(cells.vth[charged], placed)
         # MLC programs at ~half the SLC speed per cell (program-verify
         # staircase); coarse but representative.
         self.trace.charge(

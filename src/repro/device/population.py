@@ -1,31 +1,27 @@
 """ChipPopulation: the batched physics state of many dies at once.
 
 Counterfeit screening is a population decision — the integrator
-verifies a whole shipment, not one chip — yet the die model simulates
-one `(n_cells,)` array per chip.  :class:`ChipPopulation` stacks the
-watermark segment of N dies into ``(n_dies, n_cells)`` matrices (static
-variation, threshold voltages, wear counters) and replays the
-extraction sequence — full erase, program, partial erase, majority read
-— through the 2-D kernels of :mod:`repro.phys.kernels`, so one call
-verifies hundreds of dies in a handful of numpy dispatches.
+verifies a whole shipment, not one chip.  :class:`ChipPopulation`
+stacks the watermark segment of N dies into ``(n_dies, n_cells)``
+matrices (static variation, threshold voltages, wear counters) and
+replays the extraction sequence — full erase, program, partial erase,
+majority read — through the cell model, :mod:`repro.phys.kernels`, so
+one call verifies hundreds of dies in a handful of numpy dispatches.
 
-Equivalence and RNG-stream ordering contract
---------------------------------------------
+Equivalence
+-----------
 A population readout is **bit-identical** to running the serial
 controller sequence (:func:`repro.core.extract.extract_segment`) on
-each die alone.  Two rules make that exact:
+each die alone, because the serial die model runs the very same cell
+operations on a population of one.  What the population adds is:
 
 1. *Per-die generators.*  Every die keeps its own
-   ``numpy.random.Generator`` (cloned from the chip's, so the input
-   chip's stream is never advanced).  Noise for die *i* comes only from
-   generator *i*; stacking therefore cannot leak draws across dies.
-2. *Serial draw order per die.*  Within each die's stream the draws
-   happen in exactly the controller's operation order, with the same
-   distribution calls and shapes: full-erase tau jitter
-   ``lognormal(0, sigma, n)``, program noise ``normal(0, sigma, n)``,
-   partial-erase tau jitter ``lognormal(0, sigma, n)``, then read noise
-   ``normal(0, sigma, (n_reads, n))``.  A draw is skipped exactly when
-   the die model skips it (the corresponding sigma is zero).
+   ``numpy.random.Generator``, cloned from the chip's, so the input
+   chip's stream is never advanced.  The kernels draw row *i*'s noise
+   from generator *i* only, in the serial order and shapes their
+   docstring documents.
+2. *Stacked state.*  Each die's segment slice is copied in, so the
+   input chips are never mutated.
 
 Dies are batchable together only when they share the same physics
 (:class:`~repro.phys.constants.PhysicalParams`), segment geometry and
@@ -41,12 +37,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..phys.kernels import (
-    population_erase_transient,
-    population_majority_read,
-    population_program_targets,
-    population_tau_us,
-)
+from ..phys import kernels
 from .mcu import Microcontroller
 from .tracing import OperationTrace
 
@@ -241,78 +232,25 @@ class ChipPopulation:
         return self.vth.shape[1]
 
     # -- primitive operations ---------------------------------------------
+    #
+    # A population carries every CellViews field under the same name,
+    # so it is passed to the cell operations as is.
 
     def current_tau_us(self) -> np.ndarray:
         """Wear- and temperature-adjusted erase time constants, 2-D."""
-        return population_tau_us(
-            self.tau0_us,
-            self.program_cycles,
-            self.erase_only_cycles,
-            self.susceptibility,
-            self.temperature_c,
-            self.params,
-        )
+        return kernels.tau_us(self)
 
     def erase_pulse(self, t_us: float) -> None:
         """Apply the erase voltage to every cell of every die for ``t_us``."""
-        jitter_sigma = self.params.noise.erase_jitter_sigma
-        tau = self.current_tau_us()
-        if jitter_sigma > 0.0:
-            for i, rng in enumerate(self.rngs):
-                tau[i] = tau[i] * rng.lognormal(
-                    0.0, jitter_sigma, size=self.n_cells
-                )
-        self.vth = population_erase_transient(
-            self.vth, t_us, tau, self.vth_erased, self.params.cell
-        )
-        unprogrammed = ~self.programmed_since_erase
-        self.erase_only_cycles += unprogrammed
-        self.programmed_since_erase[:] = False
+        kernels.erase_pulse(self, t_us)
 
     def program_all(self) -> None:
         """Program every cell of every die (the all-zeros pattern)."""
-        self.program_cycles += 1.0
-        sigma = self.params.noise.program_sigma_v
-        noise = None
-        if sigma > 0.0:
-            noise = np.stack(
-                [
-                    rng.normal(0.0, sigma, size=self.n_cells)
-                    for rng in self.rngs
-                ]
-            )
-        self.vth = population_program_targets(
-            self.vth_programmed,
-            self.program_cycles,
-            self.erase_only_cycles,
-            self.susceptibility,
-            noise,
-            self.params,
-        )
-        self.programmed_since_erase[:] = True
+        self.vth = kernels.program_targets(self)
 
     def read_bits(self, n_reads: int = 1) -> np.ndarray:
         """Sense every cell; ``(n_dies, n_cells)`` uint8 (1 = erased)."""
-        if n_reads < 1 or n_reads % 2 == 0:
-            raise ValueError("n_reads must be a positive odd number")
-        sigma = self.params.noise.read_sigma_v
-        noise = None
-        if sigma > 0.0:
-            noise = np.stack(
-                [
-                    rng.normal(0.0, sigma, size=(n_reads, self.n_cells))
-                    for rng in self.rngs
-                ]
-            )
-        bits = population_majority_read(
-            self.vth, noise, self.params.cell, n_reads=n_reads
-        )
-        disturb = self.params.noise.read_disturb_v_per_read
-        if disturb > 0.0:
-            self.vth = np.minimum(
-                self.vth + disturb * n_reads, self.vth_programmed
-            )
-        return bits
+        return kernels.majority_read(self, n_reads)
 
     # -- the extraction fast path -----------------------------------------
 
@@ -337,28 +275,54 @@ class ChipPopulation:
             duration_us=self.extraction_duration_us(t_pew_us, n_reads),
         )
 
+    def _extraction_steps(
+        self, t_pew_us: float, n_reads: int
+    ) -> Tuple[Tuple[str, float, float], ...]:
+        """``(operation, duration [us], energy [uJ])`` of each step.
+
+        The same names, durations and energies, in the same order, as
+        the serial controller's four ``trace.charge`` calls.
+        """
+        timing = self.timing
+        n_words = self.words_per_segment
+        return (
+            (
+                "erase_segment",
+                timing.t_cmd_overhead_us + timing.t_erase_us,
+                timing.e_erase_uj,
+            ),
+            (
+                "program_segment",
+                timing.t_cmd_overhead_us
+                + timing.segment_program_time_us(n_words, block=True),
+                n_words * timing.e_program_word_uj,
+            ),
+            (
+                "partial_erase",
+                timing.t_cmd_overhead_us
+                + t_pew_us
+                + timing.t_abort_overhead_us,
+                timing.e_erase_uj * min(1.0, t_pew_us / timing.t_erase_us),
+            ),
+            (
+                "read_segment",
+                timing.segment_read_time_us(n_words, n_reads=n_reads),
+                n_reads * n_words * timing.e_read_word_uj,
+            ),
+        )
+
     def extraction_duration_us(
         self, t_pew_us: float, n_reads: int
     ) -> float:
         """Device time one die's extraction charges [us].
 
-        Accumulated in the same order — and with the same intermediate
-        expressions — as the serial controller's four ``trace.charge``
-        calls, so the value is bit-identical to the per-die device
+        Summed from ``0.0`` over the serial controller's charges in
+        their order, so the value is bit-identical to the per-die device
         clock.
         """
-        timing = self.timing
         total = 0.0
-        total += timing.t_cmd_overhead_us + timing.t_erase_us
-        total += timing.t_cmd_overhead_us + timing.segment_program_time_us(
-            self.words_per_segment, block=True
-        )
-        total += (
-            timing.t_cmd_overhead_us + t_pew_us + timing.t_abort_overhead_us
-        )
-        total += timing.segment_read_time_us(
-            self.words_per_segment, n_reads=n_reads
-        )
+        for _, duration_us, _ in self._extraction_steps(t_pew_us, n_reads):
+            total += duration_us
         return total
 
     def charge_extraction(
@@ -376,31 +340,9 @@ class ChipPopulation:
         path.  Pass the die's segment base as ``address`` to keep even
         ``keep_events`` traces identical.
         """
-        timing = self.timing
-        n_words = self.words_per_segment
-        trace.charge(
-            "erase_segment",
-            timing.t_cmd_overhead_us + timing.t_erase_us,
-            address=address,
-            energy_uj=timing.e_erase_uj,
-        )
-        trace.charge(
-            "program_segment",
-            timing.t_cmd_overhead_us
-            + timing.segment_program_time_us(n_words, block=True),
-            address=address,
-            energy_uj=n_words * timing.e_program_word_uj,
-        )
-        trace.charge(
-            "partial_erase",
-            timing.t_cmd_overhead_us + t_pew_us + timing.t_abort_overhead_us,
-            address=address,
-            energy_uj=timing.e_erase_uj
-            * min(1.0, t_pew_us / timing.t_erase_us),
-        )
-        trace.charge(
-            "read_segment",
-            timing.segment_read_time_us(n_words, n_reads=n_reads),
-            address=address,
-            energy_uj=n_reads * n_words * timing.e_read_word_uj,
-        )
+        for op, duration_us, energy_uj in self._extraction_steps(
+            t_pew_us, n_reads
+        ):
+            trace.charge(
+                op, duration_us, address=address, energy_uj=energy_uj
+            )

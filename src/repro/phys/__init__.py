@@ -5,10 +5,12 @@ the analog behaviour of NOR flash cells that the paper's technique
 exploits — threshold-voltage dynamics under program/erase, permanent
 oxide wear from cycling, process variation, noise, and retention loss.
 
-The device simulator (:mod:`repro.device`) evaluates these models over
-whole segments at once; :class:`FloatingGateCell` offers the same physics
-for a single cell, and :mod:`repro.phys.kernels` lifts the hot-path
-formulas one axis higher to ``(n_dies, n_cells)`` population matrices.
+:mod:`repro.phys.kernels` is the cell model every simulator runs: each
+flash cell operation (erase pulse, program, majority read), written once
+over ``(n_dies, n_cells)`` views, with its per-operation noise draws.
+:class:`FloatingGateCell` is an independent scalar statement of the same
+physics for a single cell, kept as the reference the kernels are tested
+against.
 """
 
 from .cell import FloatingGateCell
@@ -19,15 +21,6 @@ from .erase import (
     erase_delta_v,
     time_to_reach_us,
 )
-from .kernels import (
-    population_crossing_times_us,
-    population_effective_cycles,
-    population_erase_transient,
-    population_majority_read,
-    population_program_targets,
-    population_tau_us,
-)
-from .noise import erase_tau_jitter, program_noise, read_noise
 from .program import apply_program_transient, program_progress
 from .retention import RetentionParams, retention_loss_v
 from .variation import StaticCellLot, sample_static_cells
@@ -45,20 +38,11 @@ __all__ = [
     "apply_erase_transient",
     "crossing_time_us",
     "time_to_reach_us",
-    "read_noise",
     "program_progress",
     "apply_program_transient",
-    "erase_tau_jitter",
-    "program_noise",
     "effective_cycles",
     "tau_wear_multiplier",
     "programmed_level_shift",
-    "population_effective_cycles",
-    "population_tau_us",
-    "population_crossing_times_us",
-    "population_erase_transient",
-    "population_program_targets",
-    "population_majority_read",
     "RetentionParams",
     "retention_loss_v",
 ]

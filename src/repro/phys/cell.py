@@ -1,10 +1,12 @@
 """A single floating-gate cell, simulated one operation at a time.
 
 :class:`FloatingGateCell` is the scalar, didactic counterpart of the
-vectorised array model in :mod:`repro.device.array`.  It exists for unit
-tests, documentation examples and single-cell studies (e.g. plotting one
-cell's erase transient at different wear levels); the device simulator
-never uses it on hot paths.
+cell model in :mod:`repro.phys.kernels`: the same physics written
+independently, one cell, one operation and one scalar draw at a time.
+It exists as the reference the cell model is tested against, for
+documentation examples and for single-cell studies (e.g. plotting one
+cell's erase transient at different wear levels); no simulator runs
+it.
 """
 
 from __future__ import annotations
@@ -98,7 +100,12 @@ class FloatingGateCell:
     # -- operations ----------------------------------------------------
 
     def program(self) -> None:
-        """Charge the floating gate (source-side hot-carrier injection)."""
+        """Charge the floating gate (source-side hot-carrier injection).
+
+        The wear shift counts the program being applied, as the cell
+        model (:func:`repro.phys.kernels.program_targets`) does.
+        """
+        self.program_cycles += 1
         shift = float(
             programmed_level_shift(
                 np.float64(self.n_effective),
@@ -108,7 +115,6 @@ class FloatingGateCell:
         )
         noise = self.rng.normal(0.0, self.params.noise.program_sigma_v)
         self.vth = self._vth_programmed + shift + noise
-        self.program_cycles += 1
         self._programmed_since_erase = True
 
     def erase_partial(self, t_us: float) -> None:

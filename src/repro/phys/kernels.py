@@ -1,40 +1,69 @@
-"""Population-level physics kernels: whole chip fleets as 2-D arrays.
+"""The flash cell model: every cell operation, written once.
 
-The scalar model (:mod:`repro.phys.cell`) simulates one cell and the
-die model (:class:`repro.device.NorFlashArray`) vectorises one die's
-cells as 1-D arrays.  Counterfeit screening, however, is a *population*
-statistic — the deployment story of Section I verifies whole shipments
-— so the hot path wants one more axis: every kernel here operates on
-``(n_dies, n_cells)`` matrices, computing the erase transient, wear
-multiplier, programmed-level shift and majority-vote read for hundreds
-of dies in a handful of numpy dispatches.
+Flashmark's imprint (repeated P/E stress) and extract (full erase,
+program, aborted partial erase, majority read; the paper's Figs. 3, 7
+and 8) act on one physical cell.  This module is the only place those
+operations are written:
 
-Equivalence contract
+* :func:`tau_us` — erase time constant from wear and temperature;
+* :func:`erase_pulse` — one (full or aborted) erase pulse with
+  per-pulse jitter and erase-only wear;
+* :func:`program_targets` — the wear bump, wear-shifted programmed
+  level and program noise of the cells a program operation charges;
+* :func:`majority_read` — an N-read majority vote with read disturb.
+
+Each operation acts on :class:`CellViews`: ``(n_dies, n_cells)`` views
+of the evolving state and static parameters of one or more dies, with
+one :class:`numpy.random.Generator` per row.  Every simulator is a
+front end over them.  :class:`~repro.device.ChipPopulation` stacks the
+watermark segment of N dies and passes itself (it carries the same
+fields).  :class:`~repro.device.NorFlashArray` passes one die as a
+population of one: ``[None, sl]`` views of its 1-D state and its own
+generator, so writes land in the die's arrays.  The MLC, NAND and SPI
+NOR dies reach the operations through the die model.
+
+Noise and draw order
 --------------------
-Each kernel applies exactly the same per-element expressions — in the
-same floating-point evaluation order — as the 1-D die model, so a row
-of a population kernel's output is bit-identical to running the
-corresponding :class:`~repro.device.NorFlashArray` operation on that
-die alone.  ``tests/phys/test_kernels.py`` pins every kernel against
-the scalar :class:`~repro.phys.cell.FloatingGateCell` model with
-hypothesis property tests, and the engine's golden-equivalence suite
-(``tests/engine/test_verify_batch.py``) checks the end-to-end verify
-path byte-for-byte.
+Three noise processes matter for Flashmark:
 
-Randomness never enters these kernels: noise is drawn by the caller
-(see :class:`repro.device.ChipPopulation` for the per-die RNG stream
-ordering contract) and passed in as arrays, which keeps the kernels
-pure and the draw order auditable in one place.
+* **erase jitter** — the erase transient's time constant varies a
+  little from pulse to pulse (trap occupancy fluctuations), which blurs
+  the partial-erase transition: multiplicative, lognormal;
+* **program noise** — each program operation lands the threshold
+  voltage slightly off its per-cell target: additive, Gaussian;
+* **read noise** — random telegraph noise plus sense-amplifier noise
+  make a cell near the read reference flip between 0 and 1 from read
+  to read, which is why the characterisation algorithm (Fig. 3) reads
+  N times and majority-votes: additive, Gaussian.
+
+Row *i* draws only from ``rngs[i]``, one call per operation, in the
+order the operations run on that die:
+
+================  =================================================
+operation         draw (skipped when its sigma is not positive)
+================  =================================================
+erase_pulse       ``lognormal(0, erase_jitter_sigma, n_cells)``
+program_targets   ``normal(0, program_sigma_v, k)``, ``k`` = the
+                  row's charged cells (no draw when ``k`` is 0)
+majority_read     ``normal(0, read_sigma_v, (n_reads, n_cells))``
+================  =================================================
+
+Stacking dies therefore cannot leak draws from one die to another, and
+the per-element expressions do not depend on the row count: a row of a
+population's result is bit-identical to the same operation run on that
+die alone.  ``tests/phys/test_kernels.py`` checks each operation
+against the scalar :class:`~repro.phys.cell.FloatingGateCell`;
+``tests/device/test_cell_model_pins.py`` pins the serial outcomes.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .constants import CellParams, PhysicalParams, WearParams
-from .erase import apply_erase_transient, crossing_time_us
+from .constants import PhysicalParams
+from .erase import apply_erase_transient
 from .wear import (
     effective_cycles,
     programmed_level_shift,
@@ -42,161 +71,169 @@ from .wear import (
 )
 
 __all__ = [
-    "population_effective_cycles",
-    "population_tau_us",
-    "population_crossing_times_us",
-    "population_erase_transient",
-    "population_program_targets",
-    "population_majority_read",
+    "CellViews",
+    "tau_us",
+    "erase_pulse",
+    "program_targets",
+    "majority_read",
 ]
 
 
-def _require_2d(name: str, value: np.ndarray) -> np.ndarray:
-    value = np.asarray(value)
-    if value.ndim != 2:
-        raise ValueError(
-            f"{name} must be a (n_dies, n_cells) matrix, "
-            f"got shape {value.shape}"
-        )
-    return value
+class CellViews(NamedTuple):
+    """``(n_dies, n_cells)`` views of the cells an operation acts on.
 
-
-def population_effective_cycles(
-    program_cycles: np.ndarray,
-    erase_only_cycles: np.ndarray,
-    params: WearParams,
-) -> np.ndarray:
-    """Effective stress-cycle count per cell, ``(n_dies, n_cells)``."""
-    return effective_cycles(
-        _require_2d("program_cycles", program_cycles),
-        _require_2d("erase_only_cycles", erase_only_cycles),
-        params,
-    )
-
-
-def population_tau_us(
-    tau0_us: np.ndarray,
-    program_cycles: np.ndarray,
-    erase_only_cycles: np.ndarray,
-    susceptibility: np.ndarray,
-    temperature_c: np.ndarray,
-    params: PhysicalParams,
-) -> np.ndarray:
-    """Wear- and temperature-adjusted erase time constant [us], 2-D.
-
-    ``temperature_c`` is one junction temperature per die, broadcast
-    down the cell axis; the multiplication order (``tau0 * wear_mult *
-    temp_factor``) matches
-    :meth:`~repro.device.NorFlashArray.current_tau_us` exactly so the
-    result is bit-identical per element.
+    Operations write evolving state in place, so views into a larger
+    array update its owner.
     """
-    tau0_us = _require_2d("tau0_us", tau0_us)
-    n_eff = population_effective_cycles(
-        program_cycles, erase_only_cycles, params.wear
-    )
+
+    params: PhysicalParams
+    #: One generator per row.
+    rngs: Sequence[np.random.Generator]
+    #: Junction temperature per row [deg C].
+    temperature_c: Sequence[float]
+    #: Current threshold voltage [V].
+    vth: np.ndarray
+    #: Completed program operations (fractional for partial programs).
+    program_cycles: np.ndarray
+    #: Erase pulses seen while the cell held no programmed charge.
+    erase_only_cycles: np.ndarray
+    #: True if the cell was programmed since the last erase pulse.
+    programmed_since_erase: np.ndarray
+    #: Fresh erase time constant [us].
+    tau0_us: np.ndarray
+    #: Per-cell trap susceptibility ``w_i``.
+    susceptibility: np.ndarray
+    #: Fresh programmed level [V].
+    vth_programmed: np.ndarray
+    #: Erased floor [V].
+    vth_erased: np.ndarray
+
+
+def tau_us(cells: CellViews) -> np.ndarray:
+    """Wear- and temperature-adjusted erase time constant [us].
+
+    Jitter-free; hot dies erase faster (tau shrinks) along an
+    Arrhenius-like law around the calibration temperature.
+    """
+    wear = cells.params.wear
     mult = tau_wear_multiplier(
-        n_eff, _require_2d("susceptibility", susceptibility), params.wear
+        effective_cycles(
+            cells.program_cycles, cells.erase_only_cycles, wear
+        ),
+        cells.susceptibility,
+        wear,
     )
-    cell = params.cell
+    cell = cells.params.cell
     temp_factor = np.exp(
         -cell.erase_temp_coefficient_per_k
-        * (np.asarray(temperature_c, dtype=np.float64)
+        * (np.asarray(cells.temperature_c, dtype=np.float64)
            - cell.nominal_temperature_c)
     )
-    return tau0_us * mult * temp_factor[:, None]
+    return cells.tau0_us * mult * temp_factor[:, None]
 
 
-def population_crossing_times_us(
-    vth: np.ndarray,
-    tau_us: np.ndarray,
-    cell: CellParams,
-) -> np.ndarray:
-    """Partial-erase time at which each cell would read erased [us], 2-D."""
-    return crossing_time_us(
-        _require_2d("vth", vth),
-        cell.v_ref,
-        _require_2d("tau_us", tau_us),
-        cell.erase_slope_v_per_decade,
-    )
+def erase_pulse(cells: CellViews, t_us: float) -> None:
+    """Apply the erase voltage to every cell for ``t_us``.
 
-
-def population_erase_transient(
-    vth: np.ndarray,
-    t_us: float,
-    tau_us: np.ndarray,
-    vth_floor: np.ndarray,
-    cell: CellParams,
-) -> np.ndarray:
-    """Threshold voltage of every cell after one erase pulse [V], 2-D.
-
-    ``tau_us`` carries any per-pulse jitter the caller drew; the
-    transient itself is the same clamped log-time law the die model
-    applies.
+    A full erase uses the nominal erase time (long enough for every
+    cell to reach its erased floor); Flashmark's partial erase aborts
+    after a few tens of microseconds, freezing the transient.
     """
-    return apply_erase_transient(
-        _require_2d("vth", vth),
-        np.float64(t_us),
-        _require_2d("tau_us", tau_us),
-        _require_2d("vth_floor", vth_floor),
-        cell.erase_slope_v_per_decade,
+    tau = tau_us(cells)
+    sigma = cells.params.noise.erase_jitter_sigma
+    if sigma > 0.0:
+        for row, rng in zip(tau, cells.rngs):
+            row *= rng.lognormal(0.0, sigma, size=row.size)
+    cells.vth[...] = apply_erase_transient(
+        cells.vth,
+        t_us,
+        tau,
+        cells.vth_erased,
+        cells.params.cell.erase_slope_v_per_decade,
     )
+    # Erase-only damage applies to cells that held no programmed charge
+    # (far lower tunnelling current when the gate is empty).
+    erase_only = cells.erase_only_cycles
+    erase_only += ~cells.programmed_since_erase
+    cells.programmed_since_erase[...] = False
 
 
-def population_program_targets(
-    vth_programmed: np.ndarray,
-    program_cycles: np.ndarray,
-    erase_only_cycles: np.ndarray,
-    susceptibility: np.ndarray,
-    noise: Optional[np.ndarray],
-    params: PhysicalParams,
+def program_targets(
+    cells: CellViews,
+    mask=Ellipsis,
+    bump: float = 1.0,
+    level: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Post-program threshold voltage of every cell [V], 2-D.
+    """Charge the ``mask`` cells; return where each one programs to [V].
 
-    Mirrors :meth:`~repro.device.NorFlashArray.program_bits` for an
-    all-zeros pattern (program every cell): the wear counters must
-    already include the program operation being applied.  ``noise`` is
-    the caller-drawn per-cell program noise, or ``None`` when the
-    family's program noise is disabled (the die model adds a scalar
-    ``0.0`` in that case; so does this kernel, keeping the float
-    expression identical).
+    Adds ``bump`` to their program cycles (1 for a program operation, a
+    fraction for a partial one, ``n`` for ``n`` stress cycles) and marks
+    them programmed.  The target is ``level`` (default: each cell's
+    fresh programmed level) plus the wear shift of the updated counters
+    plus program noise.  ``mask`` is a boolean ``(n_dies, n_cells)``
+    array, giving the targets flat in row-major order, or ``...`` for
+    every cell, giving them ``(n_dies, n_cells)``.  The caller lands
+    them: a program sets ``vth`` to them, a partial program moves part
+    of the way, an MLC placement keeps the higher of the two.
     """
-    vth_programmed = _require_2d("vth_programmed", vth_programmed)
-    n_eff = population_effective_cycles(
-        program_cycles, erase_only_cycles, params.wear
-    )
+    cells.program_cycles[mask] += bump
+    cells.programmed_since_erase[mask] = True
+    wear = cells.params.wear
     shift = programmed_level_shift(
-        n_eff, params.wear, _require_2d("susceptibility", susceptibility)
+        effective_cycles(
+            cells.program_cycles[mask], cells.erase_only_cycles[mask], wear
+        ),
+        wear,
+        cells.susceptibility[mask],
     )
-    if noise is None:
-        return vth_programmed + shift + 0.0
-    return vth_programmed + shift + _require_2d("noise", noise)
+    if level is None:
+        level = cells.vth_programmed
+    sigma = cells.params.noise.program_sigma_v
+    noise = 0.0
+    if sigma > 0.0:
+        if mask is Ellipsis:
+            counts = [cells.vth.shape[1]] * len(cells.rngs)
+        else:
+            counts = np.count_nonzero(mask, axis=1)
+        draws = [
+            rng.normal(0.0, sigma, size=k)
+            for rng, k in zip(cells.rngs, counts)
+            if k
+        ]
+        if draws:
+            noise = np.concatenate(draws).reshape(shift.shape)
+    return level[mask] + shift + noise
 
 
-def population_majority_read(
-    vth: np.ndarray,
-    noise: Optional[np.ndarray],
-    cell: CellParams,
-    n_reads: int = 1,
-) -> np.ndarray:
-    """Majority-vote sensed bits of every cell, ``(n_dies, n_cells)`` uint8.
+def majority_read(cells: CellViews, n_reads: int = 1) -> np.ndarray:
+    """Sense every cell; ``(n_dies, n_cells)`` uint8 bits (1 = erased).
 
-    ``noise`` is the caller-drawn read noise shaped ``(n_dies, n_reads,
-    n_cells)`` — each die's block drawn from its own generator with the
-    same ``(n_reads, n_cells)`` shape the die model uses — or ``None``
-    for a noiseless threshold compare.
+    With ``n_reads > 1`` (odd), each cell's value is the majority vote
+    over independent reads — the AnalyzeSegment behaviour of the
+    paper's Fig. 3.
     """
-    vth = _require_2d("vth", vth)
     if n_reads < 1 or n_reads % 2 == 0:
         raise ValueError("n_reads must be a positive odd number")
-    if noise is None:
-        return (vth < cell.v_ref).astype(np.uint8)
-    noise = np.asarray(noise)
-    if noise.ndim != 3 or noise.shape[0] != vth.shape[0] or (
-        noise.shape[1] != n_reads or noise.shape[2] != vth.shape[1]
-    ):
-        raise ValueError(
-            f"noise must be shaped (n_dies, {n_reads}, n_cells), "
-            f"got {noise.shape}"
+    vth = cells.vth
+    v_ref = cells.params.cell.v_ref
+    sigma = cells.params.noise.read_sigma_v
+    if sigma > 0.0:
+        ones = np.stack(
+            [
+                np.count_nonzero(
+                    row + rng.normal(0.0, sigma, size=(n_reads, row.size))
+                    < v_ref,
+                    axis=0,
+                )
+                for row, rng in zip(vth, cells.rngs)
+            ]
         )
-    ones = np.count_nonzero(vth[:, None, :] + noise < cell.v_ref, axis=1)
-    return (ones > n_reads // 2).astype(np.uint8)
+        bits = (ones > n_reads // 2).astype(np.uint8)
+    else:
+        bits = (vth < v_ref).astype(np.uint8)
+    disturb = cells.params.noise.read_disturb_v_per_read
+    if disturb > 0.0:
+        # Weak programming of the sensed cells: thresholds creep up,
+        # bounded by the programmed target level.
+        vth[...] = np.minimum(vth + disturb * n_reads, cells.vth_programmed)
+    return bits
