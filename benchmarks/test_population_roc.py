@@ -10,7 +10,8 @@ deployment would care about.
 from collections import Counter
 
 from repro.analysis import format_table
-from repro.core import Verdict, WatermarkVerifier, calibrate_family
+from repro.core import Verdict, WatermarkVerifier
+from repro.engine import calibrate_family
 from repro.device import make_mcu
 from repro.workloads import ChipKind, PopulationSpec, generate_population
 
@@ -34,7 +35,7 @@ def test_population_screening(benchmark, report):
             lambda seed: make_mcu(seed=seed, n_segments=1),
             n_pe=SPEC.n_pe,
             n_replicas=SPEC.n_replicas,
-        )
+        ).calibration
         verifier = WatermarkVerifier(calibration, SPEC.format)
         outcomes = []
         for sample in population:

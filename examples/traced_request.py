@@ -63,7 +63,7 @@ async def traced_verify(registry, spec, server_log: Path) -> TraceContext:
         root = TraceContext.new_root()
         print(f"[client] trace {root.trace_id}")
         async with await VerificationClient.connect(
-            *server.address
+            server.endpoint
         ) as client:
             t0 = time.perf_counter()
             t0_unix = time.time()

@@ -65,7 +65,7 @@ async def run_service(registry: WatermarkRegistry, spec: TrafficSpec):
             f"provenance at concurrency {CONCURRENCY} ..."
         )
         load = LoadClient(
-            *server.address,
+            server.endpoint,
             FAMILY,
             traffic=TrafficGenerator(spec, seed=2020),
             client_id="station-1",
@@ -94,7 +94,7 @@ async def run_service(registry: WatermarkRegistry, spec: TrafficSpec):
         )
 
         async with await VerificationClient.connect(
-            *server.address
+            server.endpoint
         ) as client:
             stats = await client.stats()
             history = await client.history(limit=3)

@@ -90,8 +90,7 @@ from .device import (
 
 # The batch engine is the published calibration entry point:
 # `repro.calibrate_family` returns a CalibrationResult whose
-# `.calibration` is the FamilyCalibration the deprecated
-# `repro.core.calibrate_family` shim used to return directly.
+# `.calibration` is the FamilyCalibration.
 from .engine import (
     BatchExecutor,
     BatchResult,
@@ -139,7 +138,7 @@ from .service import (
 from .telemetry import Telemetry
 from .trace import TraceContext
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",

@@ -1,4 +1,5 @@
-"""Plain-text table and figure rendering for benchmark output.
+"""Plain-text table and figure rendering for benchmark output, and the
+one markdown-to-HTML converter the operator reports share.
 
 Benchmarks print the same rows/series the paper reports; these helpers
 keep that output aligned and dependency-free (no plotting stack in the
@@ -7,11 +8,28 @@ offline environment).
 
 from __future__ import annotations
 
+import html
+import os
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["format_table", "ascii_chart"]
+__all__ = ["format_table", "ascii_chart", "markdown_to_html", "write_report"]
+
+_HTML_STYLE = (
+    "body{font-family:sans-serif;max-width:60em;margin:2em auto;"
+    "padding:0 1em;color:#222}"
+    "table{border-collapse:collapse;margin:1em 0}"
+    "td,th{border:1px solid #bbb;padding:0.3em 0.6em;"
+    "text-align:left;font-size:0.9em}"
+    "th{background:#eee}"
+    "h1,h2,h3{color:#134}"
+    "code{background:#f4f4f4;padding:0 0.2em}"
+    ".critical{color:#a11}.warning{color:#b60}"
+)
+
+#: Severities whose table rows get a CSS class of the same name.
+_SEVERITIES = ("critical", "warning")
 
 
 def format_table(
@@ -93,3 +111,84 @@ def ascii_chart(
         + (" (log scale)" if logx else "")
     )
     return "\n".join(lines)
+
+
+def markdown_to_html(markdown: str, *, title: str) -> str:
+    """A self-contained HTML page of a markdown report.
+
+    Reads the subset the reports write: ``#`` to ``###`` headings,
+    ``- `` bullets, pipe tables (a body row holding a ``critical`` or
+    ``warning`` cell gets that CSS class), whole-line ``_emphasis_``,
+    and inline backtick-code and ``**strong**`` spans.
+    """
+    out = [
+        "<!doctype html>",
+        "<html><head><meta charset='utf-8'>",
+        f"<title>{html.escape(title)}</title>",
+        f"<style>{_HTML_STYLE}</style></head><body>",
+    ]
+    in_table = False
+    for line in markdown.splitlines():
+        stripped = line.strip()
+        if stripped.startswith("|"):
+            cells = [c.strip() for c in stripped.strip("|").split("|")]
+            if all(c and set(c) <= {"-", ":"} for c in cells):
+                continue  # separator row
+            tag, css = "td", ""
+            if not in_table:
+                out.append("<table>")
+                in_table = True
+                tag = "th"
+            else:
+                severity = next((s for s in _SEVERITIES if s in cells), None)
+                if severity is not None:
+                    css = f" class='{severity}'"
+            out.append(
+                f"<tr{css}>"
+                + "".join(f"<{tag}>{_inline_html(c)}</{tag}>" for c in cells)
+                + "</tr>"
+            )
+            continue
+        if in_table:
+            out.append("</table>")
+            in_table = False
+        level = len(stripped) - len(stripped.lstrip("#"))
+        if 1 <= level <= 3:
+            text = _inline_html(stripped[level:].strip())
+            out.append(f"<h{level}>{text}</h{level}>")
+        elif stripped.startswith("- "):
+            out.append(f"<div>&bull; {_inline_html(stripped[2:])}</div>")
+        elif len(stripped) > 2 and stripped[0] == stripped[-1] == "_":
+            out.append(f"<p><em>{_inline_html(stripped[1:-1])}</em></p>")
+        elif stripped:
+            out.append(f"<p>{_inline_html(stripped)}</p>")
+    if in_table:
+        out.append("</table>")
+    out.append("</body></html>")
+    return "\n".join(out) + "\n"
+
+
+def _spans(text: str, marker: str, tag: str) -> List[str]:
+    """``text`` split on ``marker``, every second piece wrapped in
+    ``tag``."""
+    parts = text.split(marker)
+    for i in range(1, len(parts), 2):
+        parts[i] = f"<{tag}>{parts[i]}</{tag}>"
+    return parts
+
+
+def _inline_html(text: str) -> str:
+    parts = _spans(html.escape(text), "`", "code")
+    for i in range(0, len(parts), 2):  # outside code spans
+        parts[i] = "".join(_spans(parts[i], "**", "strong"))
+    return "".join(parts)
+
+
+def write_report(path, markdown: str, *, title: str) -> None:
+    """Write a markdown report to ``path``; an ``.html``/``.htm`` path
+    (any case) gets it as :func:`markdown_to_html`."""
+    text = markdown
+    if os.fspath(path).lower().endswith((".html", ".htm")):
+        text = markdown_to_html(markdown, title=title)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)

@@ -501,13 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
         "loadgen",
         help="replay verification traffic and measure latency",
     )
-    p.add_argument(
-        "--endpoint",
-        help="target 'host:port' (a server or a fleet router); "
-        "preferred over --host/--port",
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=None)
+    _add_target_flags(p)
     p.add_argument("--family", required=True)
     p.add_argument("--requests", type=int, default=100)
     p.add_argument(
@@ -604,15 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         help="flashmark.alerts/v1 JSONL file (report)",
     )
-    p.add_argument(
-        "--endpoint",
-        help="target 'host:port' (watch; a server or a fleet router); "
-        "preferred over --host/--port",
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument(
-        "--port", type=int, default=None, help="server port (watch)"
-    )
+    _add_target_flags(p)
     p.add_argument(
         "--interval",
         type=float,
@@ -638,8 +624,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "-o",
         "--out",
-        help="write the report here ('.html' selects HTML, anything "
-        "else markdown; default: markdown on stdout)",
+        help="write the report here ('.html'/'.htm' selects HTML, "
+        "anything else markdown; default: markdown on stdout)",
     )
     p.add_argument(
         "--title", default="Fleet-health report", help="report title"
@@ -1031,6 +1017,30 @@ def _cmd_imprint(args) -> int:
         session.write_manifest(args.manifest)
         print(f"run manifest -> {args.manifest}")
     return 0
+
+
+def _add_target_flags(p) -> None:
+    """The ``--endpoint``/``--host``/``--port`` flags of a command that
+    dials a server or a fleet router (see :func:`_target_endpoint`)."""
+    p.add_argument(
+        "--endpoint",
+        help="target 'host:port' (a server or a fleet router); "
+        "preferred over --host/--port",
+    )
+    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--port", type=int, default=None, help="target port")
+
+
+def _target_endpoint(args):
+    """The endpoint :func:`_add_target_flags` names; ``ValueError``
+    when it is malformed or missing."""
+    from .service import Endpoint
+
+    if args.endpoint:
+        return Endpoint.parse(args.endpoint)
+    if args.port is not None:
+        return Endpoint(args.host, args.port)
+    raise ValueError("requires --endpoint host:port (or --port)")
 
 
 def _fail(context: str, exc: Exception) -> int:
@@ -1903,20 +1913,10 @@ def _cmd_loadgen(args) -> int:
                 f"{args.wear_ramp} item(s) from index {args.wear_start}"
             )
 
-    from .service import Endpoint
-
-    if args.endpoint:
-        try:
-            endpoint = Endpoint.parse(args.endpoint)
-        except ValueError as exc:
-            return _fail("loadgen", exc)
-    elif args.port is not None:
-        endpoint = Endpoint(args.host, args.port)
-    else:
-        return _fail(
-            "loadgen",
-            ValueError("give --endpoint host:port (or --port)"),
-        )
+    try:
+        endpoint = _target_endpoint(args)
+    except ValueError as exc:
+        return _fail("loadgen", exc)
     load = LoadClient(
         endpoint,
         args.family,
@@ -1981,22 +1981,11 @@ def _cmd_monitor(args) -> int:
         import asyncio
 
         from .monitor import watch
-        from .service import Endpoint
 
-        if args.endpoint:
-            try:
-                target = Endpoint.parse(args.endpoint)
-            except ValueError as exc:
-                return _fail("monitor", exc)
-        elif args.port is not None:
-            target = Endpoint(args.host, args.port)
-        else:
-            return _fail(
-                "monitor",
-                ValueError(
-                    "watch requires --endpoint host:port (or --port)"
-                ),
-            )
+        try:
+            target = _target_endpoint(args)
+        except ValueError as exc:
+            return _fail("monitor watch", exc)
         iterations = 1 if args.once else args.iterations
         try:
             asyncio.run(
@@ -2012,10 +2001,10 @@ def _cmd_monitor(args) -> int:
             return _fail("monitor", exc)
         return 0
     # report
+    from .analysis.tables import write_report
     from .monitor import (
         load_manifest_file,
         read_alert_records,
-        render_html,
         render_markdown,
         summarize_alert_records,
     )
@@ -2033,11 +2022,11 @@ def _cmd_monitor(args) -> int:
         return _fail("monitor", exc)
     summary = summarize_alert_records(records, manifest)
     if args.out:
-        render = render_html if args.out.endswith(".html") else (
-            render_markdown
+        write_report(
+            args.out,
+            render_markdown(summary, title=args.title),
+            title=args.title,
         )
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(render(summary, title=args.title))
         print(f"report -> {args.out}")
         print(
             f"alerts: {summary['fired']} fired, "

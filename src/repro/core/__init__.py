@@ -19,7 +19,7 @@ from .bits import (
     random_bits,
     text_to_bits,
 )
-from .calibration import FamilyCalibration, calibrate_family
+from .calibration import FamilyCalibration
 from .crc import crc16_ccitt
 from .decoder import (
     AsymmetricDecoder,
@@ -89,7 +89,6 @@ __all__ = [
     "measure_asymmetry",
     "AsymmetricDecoder",
     "FamilyCalibration",
-    "calibrate_family",
     "Verdict",
     "VerificationReport",
     "WatermarkFormat",

@@ -17,16 +17,13 @@ This module holds the per-chip unit of work
 (:func:`run_calibration_sweep`, picklable so the batch engine can fan
 sample chips across worker processes) and the window-selection math;
 the batch-facing orchestration lives in
-:func:`repro.engine.calibrate_family`.  The module-level
-:func:`calibrate_family` here is the original single-process entry
-point, kept as a deprecated shim.
+:func:`repro.engine.calibrate_family`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,7 +42,6 @@ __all__ = [
     "ChipSweep",
     "run_calibration_sweep",
     "select_window",
-    "calibrate_family",
 ]
 
 
@@ -216,61 +212,3 @@ def default_t_grid_us(n_pe: int) -> np.ndarray:
     """Default sweep grid; the optimum shifts right with stress (Fig. 9)."""
     hi = 80.0 + 40.0 * max(0.0, (n_pe - 40_000) / 20_000.0)
     return np.arange(16.0, hi, 1.0)
-
-
-def calibrate_family(
-    chip_factory: Callable[[int], Microcontroller],
-    n_pe: int,
-    n_replicas: int = 1,
-    watermark: Optional[Watermark] = None,
-    t_grid_us: Optional[Sequence[float]] = None,
-    n_reads: int = 1,
-    n_chips: int = 1,
-    segment: int = 0,
-    window_tolerance: float = 0.25,
-    seed0: int = 1000,
-    operating_point: str = "safe",
-    telemetry=None,
-    *,
-    workers: int = 1,
-    cache=None,
-) -> FamilyCalibration:
-    """Find the best partial-erase window for a device family.
-
-    .. deprecated::
-        This is the original single-result signature, kept as a thin
-        shim.  Use :func:`repro.engine.calibrate_family` (also exported
-        as :func:`repro.calibrate_family`), which adds ``workers=``,
-        ``cache=`` and the common batch result shape
-        (``.results`` / ``.failures`` / ``.manifest``); its
-        ``.calibration`` attribute is what this function returns.
-
-    The keyword-only ``workers=`` and ``cache=`` pass straight through
-    to the engine, so existing callers can already parallelize and
-    memoize without changing return-type expectations.
-    """
-    warnings.warn(
-        "repro.core.calibrate_family() is deprecated; use "
-        "repro.engine.calibrate_family() and read .calibration "
-        "from its result",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..engine.api import calibrate_family as engine_calibrate_family
-
-    return engine_calibrate_family(
-        chip_factory,
-        n_pe,
-        n_replicas=n_replicas,
-        watermark=watermark,
-        t_grid_us=t_grid_us,
-        n_reads=n_reads,
-        n_chips=n_chips,
-        segment=segment,
-        window_tolerance=window_tolerance,
-        operating_point=operating_point,
-        seed=seed0,
-        telemetry=telemetry,
-        workers=workers,
-        cache=cache,
-    ).calibration

@@ -26,8 +26,7 @@ the manufacture-time static lot) — travels in two containers:
 
   ``meta`` is the file's metadata plus ``rng_state``.  Any damaged
   byte — magic, lengths, header, cells or the CRC itself — fails the
-  check.  :func:`chip_from_bytes` still reads, told apart by the zip
-  magic, the ``.npz`` blobs earlier clients sent.
+  check.  :func:`chip_from_bytes` reads only this form.
 
 A writer may also cut the die to one segment (``segment=``): the
 result is a one-segment die, shaped like ``make_mcu(n_segments=1)``,
@@ -76,7 +75,7 @@ __all__ = [
 
 CHIP_FILE_VERSION = 1
 
-#: Leading bytes of the raw chip form (never the zip ``PK`` magic).
+#: Leading bytes of the raw chip form.
 _RAW_MAGIC = b"\x93FMCHIP"
 _U32 = struct.Struct("<I")
 
@@ -345,16 +344,17 @@ def chip_to_bytes(
 def chip_from_bytes(data) -> Microcontroller:
     """Inverse of :func:`chip_to_bytes` (any bytes-like ``data``).
 
-    Also reads the ``.npz`` blobs of earlier releases, told apart by
-    the magic.  The chip owns copies of its arrays, never views of
-    ``data``.  Raises :class:`ChipPersistenceError` on a damaged blob.
+    The chip owns copies of its arrays, never views of ``data``.
+    Raises :class:`ChipPersistenceError` on a damaged blob, or on one
+    that does not start with the raw form's magic (a ``.npz`` file's
+    bytes among them: :func:`load_chip` reads those).
     """
     action = fault_point("device.chip_from_bytes")
     if action is not None:
         data = action.apply_bytes(data)
-    if bytes(data[: len(_RAW_MAGIC)]) == _RAW_MAGIC:
-        return _wrap_decode(_chip_from_raw, memoryview(data))
-    return load_chip(io.BytesIO(data))
+    if bytes(data[: len(_RAW_MAGIC)]) != _RAW_MAGIC:
+        raise ChipPersistenceError("not chip bytes: wrong magic")
+    return _wrap_decode(_chip_from_raw, memoryview(data))
 
 
 def _chip_from_raw(view: memoryview) -> Microcontroller:

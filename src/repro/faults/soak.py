@@ -37,7 +37,7 @@ from ..telemetry import Telemetry
 from .injector import FaultInjector, InjectedFault
 from .plan import FaultPlan, FaultSpec
 
-__all__ = ["coverage_plan", "ChaosReport", "run_chaos_soak"]
+__all__ = ["coverage_plan", "SoakReport", "ChaosReport", "run_chaos_soak"]
 
 #: Verdict mismatches of this shape are the documented false-rejection
 #: fallout (a marginal genuine die failing single-read extraction), not
@@ -95,35 +95,82 @@ def coverage_plan(seed: int = 0) -> FaultPlan:
     return FaultPlan(specs=specs, seed=seed)
 
 
-@dataclass
-class ChaosReport:
-    """Everything one chaos soak observed, plus its invariant verdicts."""
+@dataclass(kw_only=True)
+class SoakReport:
+    """What every soak records, and the invariant clauses every soak
+    shares; :class:`ChaosReport` and
+    :class:`~repro.fleet.soak.FleetSoakReport` add their own."""
 
-    seed: Optional[int]
-    plan: FaultPlan
     requests: int
     deadline_s: float
+    seed: Optional[int] = None
+    plan: Optional[FaultPlan] = None
     #: ``(point, kind, occurrence)`` firing sequence, in order.
     injected: List[Tuple[str, str, int]] = field(default_factory=list)
-    #: ``faults.injected.*`` counter snapshot.
+    #: Fault, retry and routing counter snapshot.
     counters: Dict[str, int] = field(default_factory=dict)
     #: index -> verdict for OK responses.
     verdicts: Dict[int, str] = field(default_factory=dict)
-    #: error-code histogram over error responses.
+    #: error-code histogram over typed error responses.
     errors: Dict[int, int] = field(default_factory=dict)
-    #: requests rejected client-side (FrameTooLarge before send).
-    local_rejects: int = 0
-    #: connections the soak had to re-open (drops, aborts).
-    reconnects: int = 0
     #: requests that hit the per-request timeout (invariant breach).
     request_timeouts: int = 0
-    #: requests whose send path raised an injected encode error.
-    encode_errors: int = 0
     #: (index, got, expected) verdicts outside the ground truth.
     divergences: List[Tuple[int, str, Tuple[str, ...]]] = field(
         default_factory=list
     )
     wall_s: float = 0.0
+
+    @property
+    def completed(self) -> int:
+        return len(self.verdicts)
+
+    def record_verdict(
+        self, item, verdict: str, verdicts: Optional[Dict[int, str]] = None
+    ) -> None:
+        """Book traffic ``item``'s OK verdict into ``verdicts`` (default
+        :attr:`verdicts`); one outside its ground truth also counts as
+        a divergence."""
+        if verdicts is None:
+            verdicts = self.verdicts
+        verdicts[item.index] = verdict
+        if verdict not in item.expected_verdicts:
+            self.divergences.append(
+                (item.index, verdict, tuple(item.expected_verdicts))
+            )
+
+    def invariants(self) -> Dict[str, bool]:
+        """The soak contract, per clause."""
+        return self._clauses()
+
+    def _clauses(self, **own: bool) -> Dict[str, bool]:
+        """The shared clauses, with a soak's ``own`` placed between the
+        bounded and the divergence ones."""
+        return {
+            "finished_before_deadline": self.wall_s <= self.deadline_s,
+            "no_request_timed_out": self.request_timeouts == 0,
+            **own,
+            "no_verdict_divergence": all(
+                (got, expected) == _FALSE_REJECT
+                for _, got, expected in self.divergences
+            ),
+        }
+
+    @property
+    def passed(self) -> bool:
+        return all(self.invariants().values())
+
+
+@dataclass(kw_only=True)
+class ChaosReport(SoakReport):
+    """Everything one chaos soak observed, plus its invariant verdicts."""
+
+    #: requests rejected client-side (FrameTooLarge before send).
+    local_rejects: int = 0
+    #: connections the soak had to re-open (drops, aborts).
+    reconnects: int = 0
+    #: requests whose send path raised an injected encode error.
+    encode_errors: int = 0
     #: True when a fleet monitor rode along (adds two invariants).
     monitored: bool = False
     #: Alert keys that fired / resolved during the soak, in order.
@@ -133,10 +180,6 @@ class ChaosReport:
     alerts_firing_at_end: List[str] = field(default_factory=list)
     #: Monitor rollup (``ok``/``degraded``/``alerting``) at soak end.
     monitor_status: Optional[str] = None
-
-    @property
-    def completed(self) -> int:
-        return len(self.verdicts)
 
     def retry_evidence(self) -> int:
         """Counted retries that absorbed injected faults.
@@ -187,21 +230,15 @@ class ChaosReport:
         n_hangs = sum(1 for _, kind, _ in self.injected if kind == "hang")
         benign = self.counters.get("faults.injected.device.save_chip", 0)
         collisions = self._colliding_injections()
-        out = {
-            "finished_before_deadline": self.wall_s <= self.deadline_s,
-            "no_request_timed_out": self.request_timeouts == 0,
+        out = self._clauses(
             # hang faults surface only as (bounded) latency; save_chip
             # faults fire outside the request path entirely; colliding
             # faults share their request's single typed error.
-            "every_fault_surfaced": (
+            every_fault_surfaced=(
                 n_injected - n_hangs - benign - collisions
                 <= self.surfaced_evidence()
             ),
-            "no_verdict_divergence": all(
-                (got, expected) == _FALSE_REJECT
-                for _, got, expected in self.divergences
-            ),
-        }
+        )
         if self.monitored:
             # The alerting contract: injected faults must burn the
             # error-budget SLO into a *fired* alert, and once the fault
@@ -212,10 +249,6 @@ class ChaosReport:
                 not self.alerts_firing_at_end
             )
         return out
-
-    @property
-    def passed(self) -> bool:
-        return all(self.invariants().values())
 
     def to_dict(self) -> dict:
         return {
@@ -347,16 +380,7 @@ def run_chaos_soak(
                         except (ConnectionError, OSError):
                             pass  # reconnect below
                         else:
-                            verdict = result["verdict"]
-                            report.verdicts[item.index] = verdict
-                            if verdict not in item.expected_verdicts:
-                                report.divergences.append(
-                                    (
-                                        item.index,
-                                        verdict,
-                                        tuple(item.expected_verdicts),
-                                    )
-                                )
+                            report.record_verdict(item, result["verdict"])
                             continue
                         # Dropped or wedged connection: open a new one,
                         # do not retry the lost request.

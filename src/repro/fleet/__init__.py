@@ -54,7 +54,6 @@ from .shards import (
     replicate_families,
     shard_id_for,
 )
-from .soak import FleetSoakReport, fleet_coverage_plan, run_fleet_soak
 
 __all__ = [
     "DEFAULT_REPLICAS",
@@ -78,3 +77,18 @@ __all__ = [
     "shard_id_for",
     "write_fleet_audit",
 ]
+
+#: The soak harness, imported on first use: it builds on the chaos soak
+#: of :mod:`repro.faults.soak`, which no serving or engine-worker
+#: process needs.
+_SOAK_NAMES = ("FleetSoakReport", "fleet_coverage_plan", "run_fleet_soak")
+
+
+def __getattr__(name: str):
+    if name not in _SOAK_NAMES:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        )
+    from . import soak
+
+    return getattr(soak, name)

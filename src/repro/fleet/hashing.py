@@ -43,10 +43,9 @@ def _point(label: str) -> int:
 def routing_key(family: str, die_id: str) -> str:
     """The canonical routing key of one verification request.
 
-    ``die_id`` is the wire-form hex string (``"0x00000000002A"``); the
-    router falls back to a digest of the chip blob when a legacy client
-    omitted the field, which still pins identical requests to identical
-    shards.
+    ``die_id`` is the wire-form hex string (``"0x00000000002A"``).  A
+    verify request without it never reaches the ring: the router
+    answers ``400``.
     """
     return f"{family}|{die_id}"
 

@@ -13,12 +13,11 @@ A verify request is consistent-hashed on ``(family, die_id)`` from its
 header (:mod:`repro.fleet.hashing`) to its owner shard.  The router
 rewrites only the header's ``trace`` and relays the body — a binary
 frame's raw chip bytes — upstream as the object the frame reader cut:
-it never decodes, copies or re-encodes it (a JSON request of an earlier
-client is relayed as a JSON line).  A verify request without
-``die_id`` answers ``400``.  If the owner is
-evicted or the forward fails, the request walks the ring to the next
-healthy shard — bounded by ``retry_shards`` — and only then surfaces a
-``503``.
+it never decodes, copies or re-encodes it.  A verify request without
+``die_id`` answers ``400``; one sent as a JSON line is relayed as one,
+and its shard answers ``400``.  If the owner is evicted or the forward
+fails, the request walks the ring to the next healthy shard — bounded
+by ``retry_shards`` — and only then surfaces a ``503``.
 
 Health-based eviction: a background probe fetches each shard's
 ``/healthz`` (the shared :class:`~repro.service.health.HealthReport`

@@ -44,17 +44,14 @@ import asyncio
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from ..faults import FaultInjector, FaultPlan, FaultSpec
+from ..faults.soak import SoakReport
 from ..telemetry import Telemetry
 from .reconcile import reconcile_fleet
 
 __all__ = ["fleet_coverage_plan", "FleetSoakReport", "run_fleet_soak"]
-
-#: The documented false-rejection fallout (a marginal genuine die
-#: failing single-read extraction) — not a fault-induced divergence.
-_FALSE_REJECT = ("counterfeit", ("authentic",))
 
 
 def fleet_coverage_plan(seed: int = 0) -> FaultPlan:
@@ -89,47 +86,25 @@ def fleet_coverage_plan(seed: int = 0) -> FaultPlan:
     return FaultPlan(specs=specs, seed=seed)
 
 
-@dataclass
-class FleetSoakReport:
+@dataclass(kw_only=True)
+class FleetSoakReport(SoakReport):
     """Everything one fleet soak observed, plus its invariant verdicts."""
 
     n_shards: int
-    requests: int
-    deadline_s: float
     chaos: bool
-    seed: Optional[int] = None
-    plan: Optional[FaultPlan] = None
-    #: index -> verdict for OK responses through the fleet.
-    verdicts: Dict[int, str] = field(default_factory=dict)
     #: index -> decision statistic through the fleet.
     statistics: Dict[int, float] = field(default_factory=dict)
     #: Direct single-server baseline (empty when not run).
     baseline_verdicts: Dict[int, str] = field(default_factory=dict)
     baseline_statistics: Dict[int, float] = field(default_factory=dict)
-    #: error-code histogram over typed error responses.
-    errors: Dict[int, int] = field(default_factory=dict)
     #: requests lost without a typed answer (connection-level).
     drops: int = 0
-    request_timeouts: int = 0
-    #: ``(point, kind, occurrence)`` firing sequence, in order.
-    injected: List[Tuple[str, str, int]] = field(default_factory=list)
-    #: ``fleet.*`` / ``faults.*`` counter snapshot.
-    counters: Dict[str, int] = field(default_factory=dict)
-    #: (index, got, expected) verdicts outside the ground truth.
-    divergences: List[Tuple[int, str, Tuple[str, ...]]] = field(
-        default_factory=list
-    )
     #: All shards routable when the soak ended.
     recovered: bool = True
     #: Router topology at soak end.
     topology: dict = field(default_factory=dict)
     #: ``flashmark.fleet-audit/v1`` reconcile of the shard registries.
     fleet_audit: dict = field(default_factory=dict)
-    wall_s: float = 0.0
-
-    @property
-    def completed(self) -> int:
-        return len(self.verdicts)
 
     @property
     def answered(self) -> int:
@@ -148,25 +123,13 @@ class FleetSoakReport:
         )
 
     def invariants(self) -> Dict[str, bool]:
-        out = {
-            "finished_before_deadline": self.wall_s <= self.deadline_s,
-            "no_request_timed_out": self.request_timeouts == 0,
-            "zero_drops": (
-                self.drops == 0 and self.answered == self.requests
-            ),
-            "no_verdict_divergence": all(
-                (got, expected) == _FALSE_REJECT
-                for _, got, expected in self.divergences
-            ),
-            "audit_chains_ok": bool(
-                self.fleet_audit.get("chains_ok")
-            ),
-            "families_consistent": bool(
-                (self.fleet_audit.get("families") or {}).get(
-                    "consistent"
-                )
-            ),
-        }
+        out = self._clauses(
+            zero_drops=self.drops == 0 and self.answered == self.requests
+        )
+        out["audit_chains_ok"] = bool(self.fleet_audit.get("chains_ok"))
+        out["families_consistent"] = bool(
+            (self.fleet_audit.get("families") or {}).get("consistent")
+        )
         if self.baseline_verdicts:
             out["verdict_parity"] = all(
                 self.baseline_verdicts.get(i) == v
@@ -187,10 +150,6 @@ class FleetSoakReport:
             )
             out["fleet_recovered"] = self.recovered
         return out
-
-    @property
-    def passed(self) -> bool:
-        return all(self.invariants().values())
 
     def to_dict(self) -> dict:
         return {
@@ -329,24 +288,12 @@ def run_fleet_soak(
                             )
                             continue
                         else:
-                            verdict = result["verdict"]
-                            verdicts[item.index] = verdict
+                            report.record_verdict(
+                                item, result["verdict"], verdicts
+                            )
                             statistics[item.index] = result[
                                 "statistic"
                             ]
-                            if (
-                                verdict
-                                not in item.expected_verdicts
-                            ):
-                                report.divergences.append(
-                                    (
-                                        item.index,
-                                        verdict,
-                                        tuple(
-                                            item.expected_verdicts
-                                        ),
-                                    )
-                                )
                             break
                     if probe is not None:
                         await probe()

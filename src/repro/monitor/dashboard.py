@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
+
+if TYPE_CHECKING:
+    from ..service.endpoint import EndpointLike
 
 __all__ = ["render_dashboard", "fetch_snapshot", "watch"]
 
@@ -113,29 +116,23 @@ def render_dashboard(snapshot: dict) -> str:
 
 
 async def fetch_snapshot(
-    endpoint, port: Optional[int] = None, *, timeout: float = 10.0
+    endpoint: EndpointLike, *, timeout: float = 10.0
 ) -> dict:
     """Query one ``monitor`` snapshot over the wire protocol.
 
     ``endpoint`` is anything :class:`~repro.service.Endpoint` accepts
     (an Endpoint, ``"host:port"``, a 2-tuple); a server *or* a fleet
-    router answers it.  The ``(host, port)`` two-argument form is
-    deprecated.  An error frame raises
+    router answers it.  An error frame raises
     :class:`~repro.service.ServiceError` (a :class:`RuntimeError`).
     """
     from ..service.client import VerificationClient
-    from ..service.endpoint import coerce_endpoint
 
-    target = coerce_endpoint(
-        endpoint, port, what="fetch_snapshot(host, port)"
-    )
-    async with await VerificationClient.connect(target) as client:
+    async with await VerificationClient.connect(endpoint) as client:
         return await asyncio.wait_for(client.monitor(), timeout=timeout)
 
 
 async def watch(
-    endpoint,
-    port: Optional[int] = None,
+    endpoint: EndpointLike,
     *,
     interval_s: float = 2.0,
     iterations: Optional[int] = None,
@@ -143,21 +140,17 @@ async def watch(
 ) -> dict:
     """Poll the server and redraw the dashboard until interrupted.
 
-    ``endpoint`` follows the same spec as :func:`fetch_snapshot` (the
-    two-argument ``(host, port)`` form is deprecated).
+    ``endpoint`` follows the same spec as :func:`fetch_snapshot`.
     ``iterations=None`` runs until Ctrl-C; a finite count makes the
     loop testable.  Returns the last snapshot rendered.
     """
     import sys
 
-    from ..service.endpoint import coerce_endpoint
-
-    target = coerce_endpoint(endpoint, port, what="watch(host, port)")
     stream = out if out is not None else sys.stdout
     snapshot: dict = {}
     n = 0
     while iterations is None or n < iterations:
-        snapshot = await fetch_snapshot(target)
+        snapshot = await fetch_snapshot(endpoint)
         body = render_dashboard(snapshot)
         # ANSI home+clear keeps the dashboard in place on real
         # terminals; harmless noise in piped output.

@@ -4,13 +4,12 @@
 (plus, optionally, the loadgen or chaos run manifest of the same run)
 into a human-readable post-mortem: what fired, when, how bad, whether
 it cleared, and where the SLO budgets ended up.  Markdown by default;
-an ``.html`` output path gets a self-contained HTML page built from the
-same summary.
+an ``.html``/``.htm`` output path gets a self-contained HTML page of
+the same report (:func:`repro.analysis.tables.write_report`).
 """
 
 from __future__ import annotations
 
-import html
 import json
 from typing import Dict, List, Optional
 
@@ -218,63 +217,9 @@ def render_markdown(summary: dict, *, title: str = "Fleet-health report") -> str
 
 def render_html(summary: dict, *, title: str = "Fleet-health report") -> str:
     """A self-contained HTML page of the same report."""
-    md = render_markdown(summary, title=title)
-    rows: List[str] = [
-        "<!DOCTYPE html>",
-        "<html><head><meta charset='utf-8'>",
-        f"<title>{html.escape(title)}</title>",
-        "<style>",
-        "body{font-family:sans-serif;max-width:60em;margin:2em auto;"
-        "padding:0 1em;color:#222}",
-        "table{border-collapse:collapse;margin:1em 0}",
-        "td,th{border:1px solid #bbb;padding:0.3em 0.6em;"
-        "text-align:left;font-size:0.9em}",
-        "th{background:#eee}",
-        "h1,h2,h3{color:#134}",
-        ".critical{color:#a11}.warning{color:#b60}",
-        "</style></head><body>",
-    ]
-    in_table = False
-    for line in md.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("|"):
-            cells = [c.strip() for c in stripped.strip("|").split("|")]
-            if all(set(c) <= {"-", ":"} and c for c in cells):
-                continue  # separator row
-            if not in_table:
-                rows.append("<table><tr>" + "".join(
-                    f"<th>{html.escape(c)}</th>" for c in cells
-                ) + "</tr>")
-                in_table = True
-            else:
-                css = ""
-                if "critical" in cells:
-                    css = " class='critical'"
-                elif "warning" in cells:
-                    css = " class='warning'"
-                rows.append(f"<tr{css}>" + "".join(
-                    f"<td>{html.escape(c)}</td>" for c in cells
-                ) + "</tr>")
-            continue
-        if in_table:
-            rows.append("</table>")
-            in_table = False
-        if stripped.startswith("###"):
-            rows.append(f"<h3>{html.escape(stripped[3:].strip())}</h3>")
-        elif stripped.startswith("##"):
-            rows.append(f"<h2>{html.escape(stripped[2:].strip())}</h2>")
-        elif stripped.startswith("#"):
-            rows.append(f"<h1>{html.escape(stripped[1:].strip())}</h1>")
-        elif stripped.startswith("- "):
-            rows.append(f"<div>&bull; {html.escape(stripped[2:])}</div>")
-        elif stripped:
-            text = html.escape(stripped)
-            text = text.replace("**", "")  # plain emphasis
-            rows.append(f"<p>{text}</p>")
-    if in_table:
-        rows.append("</table>")
-    rows.append("</body></html>")
-    return "\n".join(rows) + "\n"
+    from ..analysis.tables import markdown_to_html
+
+    return markdown_to_html(render_markdown(summary, title=title), title=title)
 
 
 def load_manifest_file(path) -> dict:

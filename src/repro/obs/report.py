@@ -19,6 +19,9 @@ import math
 import time
 from typing import Dict, List, Optional, Tuple
 
+# The dossier's HTML page and its suffix rule are the shared ones.
+from ..analysis.tables import markdown_to_html as render_obs_html
+from ..analysis.tables import write_report as write_obs_report
 from .profiler import ProfileData
 from .tsdb import TimeSeriesStore
 
@@ -301,78 +304,3 @@ def build_obs_report(
         lines.append("_no alerts recorded_")
     lines.append("")
     return "\n".join(lines)
-
-
-def render_obs_html(
-    markdown: str, *, title: str = "Fleet observability report"
-) -> str:
-    """A minimal self-contained HTML wrapper (tables included)."""
-    import html as _html
-
-    out = [
-        "<!doctype html>",
-        "<html><head><meta charset='utf-8'>",
-        f"<title>{_html.escape(title)}</title>",
-        "<style>body{font-family:sans-serif;margin:2em;max-width:60em}"
-        "table{border-collapse:collapse}"
-        "td,th{border:1px solid #999;padding:0.25em 0.6em;"
-        "text-align:left}code{background:#f4f4f4;padding:0 0.2em}"
-        "</style></head><body>",
-    ]
-    in_table = False
-    for line in markdown.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("|"):
-            cells = [c.strip() for c in stripped.strip("|").split("|")]
-            if all(set(c) <= {"-", " ", ":"} for c in cells):
-                continue  # separator row
-            if not in_table:
-                out.append("<table>")
-                in_table = True
-                tag = "th"
-            else:
-                tag = "td"
-            rendered = "".join(
-                f"<{tag}>{_inline_html(c)}</{tag}>" for c in cells
-            )
-            out.append(f"<tr>{rendered}</tr>")
-            continue
-        if in_table:
-            out.append("</table>")
-            in_table = False
-        if stripped.startswith("# "):
-            out.append(f"<h1>{_inline_html(stripped[2:])}</h1>")
-        elif stripped.startswith("## "):
-            out.append(f"<h2>{_inline_html(stripped[3:])}</h2>")
-        elif stripped.startswith("- "):
-            out.append(f"<p>{_inline_html(stripped[2:])}</p>")
-        elif stripped.startswith("_") and stripped.endswith("_"):
-            out.append(f"<p><em>{_inline_html(stripped[1:-1])}</em></p>")
-        elif stripped:
-            out.append(f"<p>{_inline_html(stripped)}</p>")
-    if in_table:
-        out.append("</table>")
-    out.append("</body></html>")
-    return "\n".join(out) + "\n"
-
-
-def _inline_html(text: str) -> str:
-    import html as _html
-
-    escaped = _html.escape(text)
-    # `code` spans only; the dossier uses no other inline markup.
-    parts = escaped.split("`")
-    for i in range(1, len(parts), 2):
-        parts[i] = f"<code>{parts[i]}</code>"
-    return "".join(parts)
-
-
-def write_obs_report(path, markdown: str, *, title: str) -> None:
-    """Write the dossier; ``.html``/``.htm`` paths get the HTML wrap."""
-    import os
-
-    text = markdown
-    if os.fspath(path).lower().endswith((".html", ".htm")):
-        text = render_obs_html(markdown, title=title)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

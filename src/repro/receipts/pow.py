@@ -11,12 +11,12 @@ has at least ``difficulty`` leading zero *bits*.  ``body_hash`` is the
 hex SHA-256 of the request excluding the ``pow`` field itself and the
 router-rewritten ``trace`` field: for a binary verify frame, the
 canonical JSON of its header followed by the raw chip bytes of its
-body; for a JSON request (the base64 form earlier clients send), the
-canonical JSON of the whole request.  A ticket thus binds to one exact
-request — replaying it with a different chip, family or request id
-changes ``body_hash`` and invalidates the ticket.  Replaying it with
-the *same* body is caught by the server-side replay cache: each ticket
-digest is accepted exactly once.
+body; for any other request, the canonical JSON of the whole request.
+A ticket thus binds to one exact request — replaying it with a
+different chip, family or request id changes ``body_hash`` and
+invalidates the ticket.  Replaying it with the *same* body is caught by
+the server-side replay cache: each ticket digest is accepted exactly
+once.
 
 ``difficulty`` counts bits, so each +1 doubles expected minting work;
 0 disables the gate entirely (the server then never answers 428).

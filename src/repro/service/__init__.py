@@ -42,7 +42,7 @@ from .client import (
     ServiceError,
     VerificationClient,
 )
-from .endpoint import Endpoint, EndpointLike, coerce_endpoint
+from .endpoint import Endpoint, EndpointLike
 from .health import HEALTH_SCHEMA, HealthReport, engine_counters
 from .protocol import (
     MAX_FRAME_BYTES,
@@ -72,7 +72,6 @@ __all__ = [
     "POW_REQUIRED",
     "Endpoint",
     "EndpointLike",
-    "coerce_endpoint",
     "HealthReport",
     "engine_counters",
     "RegistryError",

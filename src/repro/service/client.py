@@ -25,7 +25,7 @@ from ..telemetry import Telemetry, build_manifest
 from ..trace.context import TraceContext
 from ..workloads.traffic import TrafficGenerator, TrafficItem
 from . import protocol
-from .endpoint import Endpoint, EndpointLike, coerce_endpoint
+from .endpoint import Endpoint, EndpointLike
 
 __all__ = [
     "ServiceError",
@@ -65,18 +65,11 @@ class VerificationClient:
         self._frames = protocol.FrameReader(reader)
 
     @classmethod
-    async def connect(
-        cls, endpoint: EndpointLike, port: Optional[int] = None
-    ) -> "VerificationClient":
+    async def connect(cls, endpoint: EndpointLike) -> "VerificationClient":
         """Open a connection to ``endpoint`` — an
         :class:`~repro.service.endpoint.Endpoint`, a ``"host:port"``
-        string, or a ``(host, port)`` tuple.  The old two-argument
-        ``connect(host, port)`` form still works but is deprecated
-        (removal in v2.0).
-        """
-        endpoint = coerce_endpoint(
-            endpoint, port, what="VerificationClient.connect(...)"
-        )
+        string, or a ``(host, port)`` tuple."""
+        endpoint = Endpoint.from_any(endpoint)
         reader, writer = await asyncio.open_connection(
             endpoint.host, endpoint.port, limit=protocol.MAX_FRAME_BYTES
         )
@@ -297,9 +290,7 @@ class LoadClient:
         Where to send traffic — a lone server, a shard, or the fleet
         router, all addressed identically: an
         :class:`~repro.service.endpoint.Endpoint`, a ``"host:port"``
-        string, or a ``(host, port)`` tuple.  The old
-        ``LoadClient(host, port, family)`` form still works but is
-        deprecated (removal in v2.0).
+        string, or a ``(host, port)`` tuple.
     family:
         Published family id every request verifies against.
     traffic:
@@ -329,8 +320,8 @@ class LoadClient:
     def __init__(
         self,
         endpoint: EndpointLike,
-        family: Any = None,
-        *legacy_family,
+        family: str,
+        *,
         traffic: Optional[TrafficGenerator] = None,
         client_id: str = "loadgen",
         telemetry: Optional[Telemetry] = None,
@@ -338,28 +329,12 @@ class LoadClient:
         receipts: bool = False,
         pow_difficulty: Optional[int] = None,
     ):
-        if legacy_family:
-            # Deprecated LoadClient(host, port, family, ...) form:
-            # the second positional was the port, the third the family.
-            if len(legacy_family) != 1:
-                raise TypeError(
-                    "LoadClient takes (endpoint, family) — got "
-                    f"{2 + len(legacy_family)} positional arguments"
-                )
-            endpoint = coerce_endpoint(
-                endpoint, int(family), what="LoadClient(...)"
-            )
-            family = legacy_family[0]
-        else:
-            endpoint = Endpoint.from_any(endpoint)
         if not isinstance(family, str) or not family:
             raise TypeError(
                 "LoadClient needs a non-empty family id, got "
                 f"{family!r}"
             )
-        self.endpoint = endpoint
-        self.host = endpoint.host
-        self.port = endpoint.port
+        self.endpoint = Endpoint.from_any(endpoint)
         self.family = family
         self.traffic = (
             traffic if traffic is not None else TrafficGenerator()
@@ -602,8 +577,8 @@ class LoadClient:
             kind="loadgen",
             parameters={
                 "endpoint": str(self.endpoint),
-                "host": self.host,
-                "port": self.port,
+                "host": self.endpoint.host,
+                "port": self.endpoint.port,
                 "family": self.family,
                 "mode": report.mode,
                 "requests": report.requests,

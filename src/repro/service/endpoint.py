@@ -8,27 +8,22 @@ Before the fleet existed, every caller addressed the service as a
 being addressed* varies — a lone server, one shard, or the fleet router
 — but the way of addressing it should not.  :class:`Endpoint` is that
 single spec: a frozen ``(host, port)`` value object that parses from
-the ``"host:port"`` strings humans type, accepts the tuples old code
-passes, and renders back to the canonical string form.
+the ``"host:port"`` strings humans type, accepts a ``(host, port)``
+tuple as one value, and renders back to the canonical string form.
 
-Every client entry point accepts any of::
+Every client entry point takes exactly one of::
 
     Endpoint("127.0.0.1", 7793)      # the value object
     "127.0.0.1:7793"                 # the CLI string form
-    ("127.0.0.1", 7793)              # the legacy tuple, e.g. server.address
-
-The two-positional-argument ``connect(host, port)`` /
-``LoadClient(host, port, family)`` forms still work but raise a
-:class:`DeprecationWarning`; they are scheduled for removal in v2.0.
+    ("127.0.0.1", 7793)              # one tuple, e.g. server.address
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple, Union
+from typing import Tuple, Union
 
-__all__ = ["Endpoint", "EndpointLike", "coerce_endpoint"]
+__all__ = ["Endpoint", "EndpointLike"]
 
 
 @dataclass(frozen=True, order=True)
@@ -91,8 +86,8 @@ class Endpoint:
         """Coerce any accepted endpoint form to an :class:`Endpoint`.
 
         Accepts an :class:`Endpoint`, a ``"host:port"`` string, or a
-        ``(host, port)`` tuple/list (so ``server.address`` keeps
-        working un-deprecated when passed as one value).
+        ``(host, port)`` tuple/list (so ``server.address`` works when
+        passed as one value).
         """
         if isinstance(value, cls):
             return value
@@ -118,29 +113,3 @@ class Endpoint:
 
 #: Anything :meth:`Endpoint.from_any` accepts.
 EndpointLike = Union[Endpoint, str, Tuple[str, int]]
-
-
-def coerce_endpoint(
-    value: Any,
-    port: Optional[int] = None,
-    *,
-    what: str,
-    stacklevel: int = 3,
-) -> Endpoint:
-    """Resolve the new one-argument endpoint form *or* the deprecated
-    two-argument ``(host, port)`` form, warning on the latter.
-
-    Shared by :meth:`VerificationClient.connect` and
-    :class:`LoadClient` so both shims deprecate identically.
-    """
-    if port is not None:
-        warnings.warn(
-            f"{what} with separate (host, port) arguments is deprecated "
-            f"and will be removed in v2.0; pass one Endpoint — e.g. "
-            f"{what.split('(')[0]}('{value}:{port}') or "
-            "Endpoint(host, port)",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        return Endpoint(str(value), int(port))
-    return Endpoint.from_any(value)

@@ -13,18 +13,13 @@ Payload::
     {"schema": "flashmark.health/v1",
      "role": "server" | "router",
      "status": "ok" | "degraded" | "alerting",
-     "version": "1.6.0",
+     "version": "2.0.0",
      "uptime_s": 12.3,
      "queue_depth": 0,
      "registry": {"families": 1, "verifications": 40, "audit_entries": 41},
      "engine": {"service.errors": 0, ...},        # engine-health counters
      "monitor": {...},                            # FleetMonitor block
      "fleet": {"shards": [...], ...}}             # router only
-
-For one release the registry counts are *also* duplicated at the top
-level (``families`` / ``verifications`` / ``audit_entries``) so
-pre-fleet scrapers keep working; new consumers must read the
-``registry`` block.
 """
 
 from __future__ import annotations
@@ -97,9 +92,6 @@ class HealthReport:
             "registry": dict(self.registry),
             "engine": dict(self.engine),
         }
-        # Legacy duplicate of the registry counts (pre-fleet shape);
-        # dropped in v2.0.
-        payload.update(self.registry)
         if self.monitor is not None:
             payload["monitor"] = self.monitor
         if self.fleet is not None:
@@ -108,22 +100,13 @@ class HealthReport:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "HealthReport":
-        """Parse a payload, tolerating the pre-schema shape.
-
-        Old servers had no ``schema``/``role``/``registry`` keys and
-        splatted the registry counts at the top level; those still
-        parse (the fleet must be able to probe a mixed-version shard
-        set during a rolling upgrade).
-        """
+        """Parse a payload; raises ``ValueError`` when it is not an
+        object or lacks the ``registry`` object."""
         if not isinstance(raw, dict):
             raise ValueError(f"healthz payload is not an object: {raw!r}")
         registry = raw.get("registry")
         if not isinstance(registry, dict):
-            registry = {
-                key: raw[key]
-                for key in ("families", "verifications", "audit_entries")
-                if isinstance(raw.get(key), int)
-            }
+            raise ValueError("healthz payload has no 'registry' object")
         engine = raw.get("engine")
         return cls(
             status=str(raw.get("status", "ok")),

@@ -1,10 +1,9 @@
 """The service wire protocol: ``flashmark.wire/v1`` frames.
 
-Two frame forms share one stream.  Every query, every response, and
-verify requests of earlier clients are newline-delimited JSON lines.
-A verify request is a **binary frame**: a small JSON header followed by
-the chip's raw bytes, so neither side base64s, JSON-escapes or parses
-the chip state::
+Two frame forms share one stream.  Every query and every response is
+a newline-delimited JSON line.  A verify request is a **binary frame**:
+a small JSON header followed by the chip's raw bytes, so neither side
+base64s, JSON-escapes or parses the chip state::
 
     frame       := json-line | binary
     json-line   := UTF-8 JSON object, b"\n"
@@ -39,12 +38,10 @@ A verify request, as :func:`verify_request` builds it and
      "trace": "00-<32 hex>-<16 hex>-01",
      "chip_b64": b"\x93FMCHIP..."}
 
-The body sits under ``chip_b64`` as ``bytes``.  The key keeps the name
-of the JSON form, in which it holds the base64 of a ``.npz`` chip blob:
-servers still read that form until v2.0, and :func:`chip_from_b64`
-decodes either (``str`` base64, or raw ``bytes``).  :func:`encode_frame`
-writes a binary frame when ``chip_b64`` is bytes and a JSON line when
-it is a ``str``.
+The body sits under ``chip_b64`` as ``bytes`` (the key keeps its
+historical name).  :func:`encode_frame` writes a binary frame when
+``chip_b64`` holds bytes; a verify request sent as a JSON line, with
+anything else under ``chip_b64``, is answered ``400``.
 
 ``trace`` is optional distributed-trace context in W3C-traceparent
 form (see :mod:`repro.trace.context`); absent or malformed, the server
@@ -86,7 +83,6 @@ router only).
 from __future__ import annotations
 
 import asyncio
-import base64
 import json
 import struct
 from typing import Any, Optional, Tuple
@@ -121,10 +117,9 @@ __all__ = [
 WIRE_SCHEMA = "flashmark.wire/v1"
 
 #: Upper bound on one frame.  A binary verify frame carrying one
-#: 512-byte segment is about 235 KB whatever the die's size (the JSON
-#: form of the same segment is 316 KB; a whole 512-segment die 103 MB),
-#: so this leaves generous headroom without letting a rogue client
-#: buffer unbounded garbage.
+#: 512-byte segment is about 235 KB whatever the die's size, so this
+#: leaves generous headroom without letting a rogue client buffer
+#: unbounded garbage.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 #: First bytes of a binary frame (module docstring).
@@ -394,22 +389,24 @@ def verify_request(
     return req
 
 
-def chip_from_b64(blob) -> Microcontroller:
-    """Decode a verify request's chip (CPU-bound — call off the event
-    loop): raw ``bytes`` from a binary frame, or the base64 ``str`` of
-    the JSON form."""
+def chip_from_b64(blob: bytes) -> Microcontroller:
+    """Decode a verify request's chip, the raw ``bytes`` body of a
+    binary frame (CPU-bound — call off the event loop)."""
+    if not isinstance(blob, bytes):
+        raise ProtocolError(
+            "a verify request's chip must be the raw bytes of a binary "
+            f"frame, not {type(blob).__name__}"
+        )
     try:
-        if isinstance(blob, str):
-            blob = base64.b64decode(blob.encode("ascii"), validate=True)
         return chip_from_bytes(blob)
-    except Exception as exc:  # corrupt base64 or chip state
+    except Exception as exc:  # corrupt chip state
         raise ProtocolError(f"undecodable chip blob: {exc}") from exc
 
 
 def chip_from_request(req: dict) -> Microcontroller:
     """Decode the chip of a verify request."""
     blob = req.get("chip_b64")
-    if not isinstance(blob, (str, bytes)) or not blob:
+    if not blob:
         raise ProtocolError("verify request is missing 'chip_b64'")
     return chip_from_b64(blob)
 

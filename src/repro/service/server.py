@@ -147,15 +147,14 @@ class _TokenBucket:
 class _Pending:
     """One admitted verify request waiting for its batch.
 
-    Carries the still-encoded chip: the raw body of a binary frame (or
-    the base64 text of a JSON request).  It is decoded in the batch
-    executor thread, where a corrupt body fails only its own request,
-    and where decoding the JSON form's base64 ``.npz`` (milliseconds)
-    cannot stall admission on the event loop.
+    Carries the still-encoded chip, the raw body of a binary frame.  It
+    is decoded in the batch executor thread, where a corrupt body fails
+    only its own request and decoding cannot stall admission on the
+    event loop.
     """
 
     request_id: Any
-    body: Any
+    body: Optional[bytes]
     family: str
     segment: int
     n_reads: int
@@ -510,12 +509,13 @@ class VerificationServer(WireFrontEnd):
                 request_id, protocol.NOT_FOUND, str(exc)
             )
         body = req.get("chip_b64")
-        if not isinstance(body, (str, bytes)) or not body:
+        if not isinstance(body, bytes) or not body:
             self.telemetry.count("service.rejected.bad_request")
             return protocol.error_response(
                 request_id,
                 protocol.BAD_REQUEST,
-                "verify request is missing 'chip_b64'",
+                "verify request must be a binary frame carrying "
+                "'chip_b64'",
             )
         trace = None
         if self.config.tracing:
@@ -686,9 +686,8 @@ class VerificationServer(WireFrontEnd):
 
         def _work():
             # Decode chips here, in the executor thread, off the event
-            # loop (a JSON request's base64 .npz costs milliseconds).
-            # A corrupt body fails only its own request, never the
-            # group.
+            # loop.  A corrupt body fails only its own request, never
+            # the group.
             chips, errors = [], {}
             decode_meta: List[Tuple[float, float]] = []
             for i, pending in enumerate(group):

@@ -23,7 +23,6 @@ them — any worker count produces bit-identical batches.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -378,25 +377,6 @@ class ProductionLine:
             result.manifest = batch_manifest(chips, telemetry=tel, line=self)
         return result
 
-    def produce(
-        self, n_chips: int, seed: int = 0, telemetry=None
-    ) -> List[ProducedChip]:
-        """Manufacture a batch and return the bare chip list.
-
-        .. deprecated::
-            This is the original list-returning signature, kept as a
-            thin shim over :meth:`run`, which adds ``workers=`` and the
-            common batch result shape
-            (``.results`` / ``.failures`` / ``.manifest``).
-        """
-        warnings.warn(
-            "ProductionLine.produce() is deprecated; use "
-            "ProductionLine.run() and read .batch from its result",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(n_chips, seed=seed, telemetry=telemetry).batch
-
     @staticmethod
     def yield_fraction(batch: List[ProducedChip]) -> float:
         """Fraction of a produced batch that passed die sort."""
@@ -414,7 +394,7 @@ def batch_manifest(
     clock) into one aggregate trace via
     :meth:`~repro.device.tracing.OperationTrace.merge`, and folds in the
     batch telemetry spans/counters recorded by
-    :meth:`ProductionLine.produce`.
+    :meth:`ProductionLine.run`.
     """
     if not batch:
         raise ValueError("empty batch")

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import Watermark, calibrate_family
+from repro.core import Watermark
 from repro.device import make_mcu
+from repro.engine import calibrate_family
 
 
 def factory(seed):
@@ -22,7 +23,7 @@ def calibration():
             64, np.random.default_rng(0)
         ),
         t_grid_us=np.arange(18.0, 60.0, 1.0),
-    )
+    ).calibration
 
 
 class TestCalibrateFamily:
@@ -51,11 +52,11 @@ class TestCalibrateFamily:
         at_min = calibrate_family(
             factory, n_pe=40_000, n_replicas=7, watermark=wm,
             t_grid_us=grid, operating_point="min",
-        )
+        ).calibration
         safe = calibrate_family(
             factory, n_pe=40_000, n_replicas=7, watermark=wm,
             t_grid_us=grid, operating_point="safe",
-        )
+        ).calibration
         assert safe.t_pew_us >= at_min.t_pew_us
 
     def test_safe_point_errors_are_asymmetric(self, calibration):
@@ -89,11 +90,11 @@ class TestMultiChipCalibration:
         single = calibrate_family(
             factory, n_pe=40_000, n_replicas=3, watermark=wm,
             t_grid_us=grid, n_chips=1,
-        )
+        ).calibration
         multi = calibrate_family(
             factory, n_pe=40_000, n_replicas=3, watermark=wm,
             t_grid_us=grid, n_chips=3,
-        )
+        ).calibration
         # Both land in the same physical window.
         assert abs(multi.t_pew_us - single.t_pew_us) <= 6.0
         assert multi.expected_ber < 0.2

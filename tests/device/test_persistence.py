@@ -183,8 +183,8 @@ def _npz_bytes(chip, **kwargs) -> bytes:
 
 
 class TestCorruption:
-    """Stored members carry CRC-32: a damaged ``.npz`` blob (the form
-    earlier clients send) fails typed."""
+    """Stored members carry CRC-32: a damaged ``.npz`` chip file fails
+    typed."""
 
     @pytest.fixture(scope="class")
     def blob(self):
@@ -192,13 +192,13 @@ class TestCorruption:
 
     def test_bit_flips_at_evenly_spaced_offsets(self, blob):
         spans = _member_data_spans(blob)
-        clean = chip_from_bytes(blob)
+        clean = load_chip(io.BytesIO(blob))
         raised = 0
         for offset in np.linspace(0, len(blob) - 1, 64).astype(int):
             damaged = bytearray(blob)
             damaged[offset] ^= 0x01
             try:
-                decoded = chip_from_bytes(bytes(damaged))
+                decoded = load_chip(io.BytesIO(damaged))
             except ChipPersistenceError:
                 raised += 1
                 continue
@@ -213,14 +213,14 @@ class TestCorruption:
         """Every byte outside the members' stored data is zip header:
         a flip there fails typed or decodes the very same die."""
         spans = _member_data_spans(blob)
-        clean = chip_from_bytes(blob)
+        clean = load_chip(io.BytesIO(blob))
         edges = [0] + [x for span in spans for x in span] + [len(blob)]
         for start, stop in zip(edges[::2], edges[1::2]):
             for offset in range(start, stop):
                 damaged = bytearray(blob)
                 damaged[offset] ^= 0x01
                 try:
-                    decoded = chip_from_bytes(bytes(damaged))
+                    decoded = load_chip(io.BytesIO(damaged))
                 except ChipPersistenceError:
                     continue
                 assert _same_die(decoded, clean), offset
@@ -261,8 +261,15 @@ class TestRawForm:
         for segment in (None, 0, 1):
             raw = chip_to_bytes(mcu, segment=segment)
             assert raw.startswith(b"\x93FMCHIP")
-            from_file = chip_from_bytes(_npz_bytes(mcu, segment=segment))
+            stored = io.BytesIO(_npz_bytes(mcu, segment=segment))
+            from_file = load_chip(stored)
             assert _same_die(chip_from_bytes(raw), from_file)
+
+    def test_npz_blob_is_not_chip_bytes(self, mcu):
+        """Chip bytes are the raw form only; ``.npz`` is a file format
+        that :func:`load_chip` reads."""
+        with pytest.raises(ChipPersistenceError, match="magic"):
+            chip_from_bytes(_npz_bytes(mcu, segment=0))
 
     def test_arrays_are_writable_copies(self, mcu):
         raw = bytearray(chip_to_bytes(mcu, segment=0))

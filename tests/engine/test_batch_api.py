@@ -1,4 +1,4 @@
-"""Batch API: parallel/serial equivalence, manifests, deprecated shims.
+"""Batch API: parallel/serial equivalence and manifests.
 
 Every parity test drives the same seeds through the inline path
 (``workers=1``) and a real pool (``REPRO_ENGINE_TEST_WORKERS``, default
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import Watermark
-from repro.core.calibration import FamilyCalibration, calibrate_family as core_calibrate_family
+from repro.core.calibration import FamilyCalibration
 from repro.core.imprint import imprint_watermark
 from repro.core.verifier import WatermarkFormat
 from repro.device import McuFactory, make_mcu
@@ -129,17 +129,6 @@ class TestCalibrationBatch:
         )
         assert not third.cache_hit
 
-    def test_core_shim_warns_and_returns_calibration(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            calibration = core_calibrate_family(
-                FACTORY, N_PE, t_grid_us=GRID
-            )
-        assert isinstance(calibration, FamilyCalibration)
-        assert (
-            calibration
-            == calibrate_family(FACTORY, N_PE, t_grid_us=GRID).calibration
-        )
-
 
 class TestProductionBatch:
     def test_parallel_matches_serial(self):
@@ -178,13 +167,6 @@ class TestProductionBatch:
             + counters.get("production.rejected", 0)
             == 3
         )
-
-    def test_produce_shim_warns_and_returns_list(self):
-        line = ProductionLine(n_pe=N_PE)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            batch = line.produce(1, seed=3)
-        assert len(batch) == 1
-        assert batch[0].chip.die_id == line.run(1, seed=3).batch[0].chip.die_id
 
 
 class TestVerifyPopulation:

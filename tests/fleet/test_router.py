@@ -204,9 +204,17 @@ class TestSharedWireContract:
         is_router, (status, content_type, body) = front_runner(fn)
         assert status == 200
         assert content_type == "application/json"
-        report = HealthReport.from_dict(json.loads(body))
+        payload = json.loads(body)
+        report = HealthReport.from_dict(payload)
         assert report.role == ("router" if is_router else "server")
         assert (report.fleet is not None) == is_router
+        # The registry counts live only in the registry block.
+        assert not {"families", "verifications", "audit_entries"} & set(
+            payload
+        )
+        del payload["registry"]
+        with pytest.raises(ValueError, match="registry"):
+            HealthReport.from_dict(payload)
 
     def test_metrics_is_prometheus_text(self, front_runner):
         async def fn(front):

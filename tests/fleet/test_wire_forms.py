@@ -1,10 +1,10 @@
-"""Every verify request form through the router — the binary frame
-clients send now, and the JSON forms of earlier clients (the stored
-one-segment ``.npz`` and the compressed whole die, base64 in a JSON
-line) — must return what a direct engine call returns.  The router
-relays a binary frame's body bytes untouched."""
+"""Both binary verify forms through the router — one segment, and the
+whole die with ``"segment": k`` — must return what a direct engine call
+returns.  The router relays a binary frame's body bytes untouched, and
+a verify request sent as a JSON line is refused."""
 
 import asyncio
+import base64
 import hashlib
 
 import pytest
@@ -23,7 +23,6 @@ from tests.fleet.conftest import FAMILY
 from tests.service.conftest import (
     report_key,
     result_key,
-    segment_json_request,
     whole_die_request,
 )
 
@@ -53,27 +52,19 @@ def test_segment_and_whole_die_forms_match_direct(
                 lambda chip, s: protocol.verify_request(
                     chip, FAMILY, segment=s
                 ),
-                lambda chip, s: segment_json_request(
-                    chip, FAMILY, segment=s
-                ),
                 lambda chip, s: whole_die_request(chip, FAMILY, segment=s),
             )
         ]
 
-    binary, segment_json, whole_json = asyncio.run(
+    binary, whole_die = asyncio.run(
         _with_router(registry, tmp_path / "fleet", fn)
     )
     verifier = WatermarkVerifier(
         family_calibration, traffic_spec.population.format
     )
-    for (chip, s), a, b, c in zip(cases, binary, segment_json, whole_json):
+    for (chip, s), a, b in zip(cases, binary, whole_die):
         (report,) = verify_population([chip], verifier, segment=s).results
-        assert (
-            result_key(a)
-            == result_key(b)
-            == result_key(c)
-            == report_key(chip, report)
-        )
+        assert result_key(a) == result_key(b) == report_key(chip, report)
 
 
 def test_router_relays_body_bytes_unchanged(
@@ -117,6 +108,23 @@ def test_missing_die_id_answers_400(registry, tmp_path, draw_items):
     err, pong = asyncio.run(_with_router(registry, tmp_path / "fleet", fn))
     assert err.code == protocol.BAD_REQUEST
     assert err.reason == "verify request is missing 'die_id'"
+    assert pong == {"pong": True, "role": "router"}
+
+
+def test_json_verify_request_answers_400(registry, tmp_path, draw_items):
+    """A verify request sent as a JSON line, its chip as base64 text,
+    is refused through the router too; the connection still pongs."""
+    req = protocol.verify_request(draw_items(1, seed=95)[0].chip, FAMILY)
+    req["chip_b64"] = base64.b64encode(req["chip_b64"]).decode()
+
+    async def fn(client):
+        with pytest.raises(ServiceError) as err:
+            await client.call(req)
+        return err.value, await client.ping()
+
+    err, pong = asyncio.run(_with_router(registry, tmp_path / "fleet", fn))
+    assert err.code == protocol.BAD_REQUEST
+    assert "binary frame" in err.reason
     assert pong == {"pong": True, "role": "router"}
 
 

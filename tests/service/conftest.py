@@ -6,45 +6,19 @@ conftest (session scoped — the calibration sweep runs once).
 
 from __future__ import annotations
 
-import base64
-import io
-
-import numpy as np
 import pytest
 
-from repro.device import save_chip
+from repro.device import chip_to_bytes
 from repro.service import WatermarkRegistry, protocol
 
 FAMILY = "msp430-test"
 
 
-def _b64_npz(chip, *, segment=None, compressed=False) -> str:
-    """Base64 of a ``.npz`` chip blob, as the JSON form carries it."""
-    buf = io.BytesIO()
-    save_chip(chip, buf, segment=segment)
-    if compressed:
-        with np.load(io.BytesIO(buf.getvalue())) as stored:
-            arrays = dict(stored)
-        buf = io.BytesIO()
-        np.savez_compressed(buf, **arrays)
-    return base64.b64encode(buf.getvalue()).decode("ascii")
-
-
-def segment_json_request(chip, family, *, segment):
-    """A verify request in the JSON form of the previous release: the
-    die cut to ``segment`` as a stored ``.npz``, base64 in a JSON line,
-    indexed as segment 0."""
-    req = protocol.verify_request(chip, family, segment=segment)
-    cut = segment if 0 <= segment < chip.geometry.n_segments else None
-    req["chip_b64"] = _b64_npz(chip, segment=cut)
-    return req
-
-
 def whole_die_request(chip, family, *, segment):
-    """A verify request in the JSON form earlier clients sent: the
-    whole die as ``np.savez_compressed``, indexed by ``segment``."""
+    """A verify request shipping the whole die as a binary frame,
+    indexed by ``segment``."""
     req = protocol.verify_request(chip, family)
-    req["chip_b64"] = _b64_npz(chip, compressed=True)
+    req["chip_b64"] = chip_to_bytes(chip)
     req["segment"] = segment
     return req
 

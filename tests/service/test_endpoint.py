@@ -1,11 +1,10 @@
-"""Tests for the unified Endpoint address spec (satellite of the
-fleet PR): parsing, coercion, and the deprecated two-argument
-``(host, port)`` shims on the client surfaces."""
+"""Tests for the unified Endpoint address spec: parsing, coercion, and
+the one-value form every client surface takes."""
 
 import pytest
 
-from repro.service import Endpoint, LoadClient
-from repro.service.endpoint import coerce_endpoint
+from repro.monitor import fetch_snapshot, watch
+from repro.service import Endpoint, LoadClient, VerificationClient
 
 
 class TestParse:
@@ -79,26 +78,18 @@ class TestFromAny:
 
 
 class TestCoerceDeprecation:
-    def test_single_argument_form_is_silent(self, recwarn):
-        ep = coerce_endpoint("h:1", what="f(...)")
-        assert ep == Endpoint("h", 1)
-        assert not [
-            w for w in recwarn.list
-            if issubclass(w.category, DeprecationWarning)
-        ]
+    """The two-positional ``(host, port)`` forms deprecated before 2.0
+    are gone: each entry point takes one endpoint value."""
 
-    def test_two_argument_form_warns(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            ep = coerce_endpoint("h", 1, what="f(...)")
-        assert ep == Endpoint("h", 1)
-
-    def test_load_client_legacy_shim(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="LoadClient"):
-            load = LoadClient("127.0.0.1", 7793, "fam")
-        assert load.endpoint == Endpoint("127.0.0.1", 7793)
-        assert load.family == "fam"
-        # Legacy attributes survive for existing callers.
-        assert (load.host, load.port) == ("127.0.0.1", 7793)
+    def test_two_positional_forms_rejected(self):
+        with pytest.raises(TypeError):
+            VerificationClient.connect("127.0.0.1", 7793)
+        with pytest.raises(TypeError):
+            LoadClient("127.0.0.1", 7793, "fam")
+        with pytest.raises(TypeError):
+            fetch_snapshot("127.0.0.1", 7793)
+        with pytest.raises(TypeError):
+            watch("127.0.0.1", 7793)
 
     def test_load_client_endpoint_form_is_silent(self, recwarn):
         load = LoadClient("127.0.0.1:7793", "fam")

@@ -104,7 +104,7 @@ class TestOpenLoop:
                 registry, config=ServerConfig()
             ) as server:
                 load = LoadClient(
-                    *server.address, FAMILY, traffic=gen
+                    server.endpoint, FAMILY, traffic=gen
                 )
                 return await load.run_open_loop(
                     10, rate_hz=40.0, connections=4
@@ -118,12 +118,12 @@ class TestOpenLoop:
         assert report.wall_s > 0
 
     def test_bad_rate_rejected(self, registry):
-        load = LoadClient("127.0.0.1", 1, FAMILY)
+        load = LoadClient("127.0.0.1:1", FAMILY)
         with pytest.raises(ValueError, match="rate_hz"):
             asyncio.run(load.run_open_loop(1, rate_hz=0.0))
 
     def test_bad_concurrency_rejected(self):
-        load = LoadClient("127.0.0.1", 1, FAMILY)
+        load = LoadClient("127.0.0.1:1", FAMILY)
         with pytest.raises(ValueError, match="concurrency"):
             asyncio.run(load.run_closed_loop(1, concurrency=0))
 
@@ -137,7 +137,7 @@ class TestManifest:
                 registry, config=ServerConfig()
             ) as server:
                 load = LoadClient(
-                    *server.address, FAMILY, traffic=gen
+                    server.endpoint, FAMILY, traffic=gen
                 )
                 report = await load.run_closed_loop(6, concurrency=3)
                 return load.build_manifest(report)

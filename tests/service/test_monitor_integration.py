@@ -47,7 +47,7 @@ def run_with_monitor(registry, items, monitor, **config_kwargs):
         )
         async with server:
             async with await VerificationClient.connect(
-                *server.address
+                server.endpoint
             ) as client:
                 for item in items:
                     try:
@@ -170,7 +170,7 @@ class TestMonitoringDisabled:
             server = VerificationServer(registry, config=config)
             async with server:
                 async with await VerificationClient.connect(
-                    *server.address
+                    server.endpoint
                 ) as client:
                     with pytest.raises(ServiceError) as err:
                         await client.call({"op": "monitor"})

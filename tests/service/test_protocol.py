@@ -1,12 +1,13 @@
 """Tests for the NDJSON wire protocol."""
 
 import asyncio
+import base64
 import struct
 
 import numpy as np
 import pytest
 
-from repro.device import chip_from_bytes, make_mcu
+from repro.device import chip_from_bytes, chip_to_bytes, make_mcu
 from repro.service import protocol
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
@@ -197,13 +198,14 @@ class TestVerifyRequest:
 
     def test_corrupt_blob_rejected(self):
         with pytest.raises(ProtocolError, match="undecodable"):
-            chip_from_request(
-                {"op": "verify", "chip_b64": "bm90IGEgY2hpcA=="}
-            )
+            chip_from_request({"op": "verify", "chip_b64": b"not a chip"})
 
-    def test_invalid_base64_rejected(self):
-        with pytest.raises(ProtocolError, match="undecodable"):
-            protocol.chip_from_b64("!!! not base64 !!!")
+    def test_text_blob_rejected(self):
+        """Only a binary frame's raw bytes decode; base64 text does
+        not."""
+        blob = base64.b64encode(chip_to_bytes(make_mcu(n_segments=1)))
+        with pytest.raises(ProtocolError, match="binary frame"):
+            protocol.chip_from_b64(blob.decode("ascii"))
 
     def test_no_base64_written(self):
         req = verify_request(make_mcu(seed=6, n_segments=1), "fam")
@@ -212,8 +214,9 @@ class TestVerifyRequest:
 
 
 class TestAcceptedForms:
-    """Every accepted form of a verify request decodes to the same die,
-    and verifies to the same report and device clock."""
+    """Both binary forms of a verify request — one segment, or the
+    whole die with ``"segment": k`` — decode to the same die, and verify
+    to the same report and device clock."""
 
     def test_forms_decode_to_the_same_die(
         self, traffic_spec, family_calibration
@@ -221,10 +224,7 @@ class TestAcceptedForms:
         from repro.core import WatermarkVerifier
         from repro.engine import verify_population
         from repro.workloads.traffic import TrafficGenerator
-        from tests.service.conftest import (
-            segment_json_request,
-            whole_die_request,
-        )
+        from tests.service.conftest import whole_die_request
 
         verifier = WatermarkVerifier(
             family_calibration, traffic_spec.population.format
@@ -233,7 +233,6 @@ class TestAcceptedForms:
         for segment in (0, 1):
             forms = [
                 verify_request(chip, "fam", segment=segment),
-                segment_json_request(chip, "fam", segment=segment),
                 whole_die_request(chip, "fam", segment=segment),
             ]
             outcomes = []
@@ -255,7 +254,7 @@ class TestAcceptedForms:
                         result.manifest["device"]["now_us"],
                     )
                 )
-            assert outcomes[0] == outcomes[1] == outcomes[2]
+            assert outcomes[0] == outcomes[1]
 
 
 def _binary_frame(header: bytes, body: bytes) -> bytes:

@@ -7,6 +7,7 @@ calls on the same chips.
 """
 
 import asyncio
+import base64
 import json
 import struct
 import urllib.error
@@ -30,7 +31,6 @@ from tests.service.conftest import (
     FAMILY,
     report_key,
     result_key,
-    segment_json_request,
     tiny_chip,
     whole_die_request,
 )
@@ -56,7 +56,7 @@ class TestOps:
     def test_ping_stats_families(self, registry):
         async def fn(server):
             async with await VerificationClient.connect(
-                *server.address
+                server.endpoint
             ) as client:
                 pong = await client.ping()
                 stats = await client.stats()
@@ -72,7 +72,7 @@ class TestOps:
     def test_unknown_op_rejected(self, registry):
         async def fn(server):
             async with await VerificationClient.connect(
-                *server.address
+                server.endpoint
             ) as client:
                 with pytest.raises(ServiceError) as err:
                     await client.call({"op": "frobnicate"})
@@ -103,7 +103,7 @@ class TestVerify:
 
         async def fn(server):
             async with await VerificationClient.connect(
-                *server.address
+                server.endpoint
             ) as client:
                 result = await client.verify_chip(
                     item.chip, FAMILY, request_id=1, client="lab"
@@ -125,7 +125,7 @@ class TestVerify:
 
         async def fn(server):
             async with await VerificationClient.connect(
-                *server.address
+                server.endpoint
             ) as client:
                 with pytest.raises(ServiceError) as err:
                     await client.verify_chip(item.chip, "no-such-family")
@@ -136,7 +136,7 @@ class TestVerify:
     def test_missing_family_400(self, registry):
         async def fn(server):
             async with await VerificationClient.connect(
-                *server.address
+                server.endpoint
             ) as client:
                 with pytest.raises(ServiceError) as err:
                     await client.call(
@@ -151,14 +151,14 @@ class TestVerify:
     ):
         async def fn(server):
             async with await VerificationClient.connect(
-                *server.address
+                server.endpoint
             ) as client:
                 with pytest.raises(ServiceError) as err:
                     await client.call(
                         {
                             "op": "verify",
                             "family": FAMILY,
-                            "chip_b64": "bm90IGEgY2hpcA==",
+                            "chip_b64": b"not a chip",
                         }
                     )
                 pong = await client.ping()
@@ -211,10 +211,9 @@ class TestVerify:
 
 
 class TestWireForms:
-    """A request ships one segment as a binary frame.  Servers still
-    read the JSON forms of earlier clients: the stored one-segment
-    ``.npz`` and the compressed whole-die ``.npz``, base64 in a JSON
-    line.  All three verify exactly as the engine does."""
+    """A request ships one segment as a binary frame; a binary frame
+    carrying the whole die with ``"segment": k`` verifies the same.
+    Both verify exactly as the engine does."""
 
     def test_segment_and_whole_die_forms_match_direct(
         self, registry, traffic_spec, family_calibration
@@ -230,34 +229,43 @@ class TestWireForms:
                     await client.verify_chip(chip, FAMILY, segment=s)
                     for chip, s in cases
                 ]
-                segment_json = [
-                    await client.call(
-                        segment_json_request(chip, FAMILY, segment=s)
-                    )
-                    for chip, s in cases
-                ]
-                whole_json = [
+                whole_die = [
                     await client.call(
                         whole_die_request(chip, FAMILY, segment=s)
                     )
                     for chip, s in cases
                 ]
-            return binary, segment_json, whole_json
+            return binary, whole_die
 
-        binary, segment_json, whole_json = serve(registry, fn)
+        binary, whole_die = serve(registry, fn)
         verifier = WatermarkVerifier(
             family_calibration, traffic_spec.population.format
         )
-        for (chip, s), a, b, c in zip(
-            cases, binary, segment_json, whole_json
-        ):
+        for (chip, s), a, b in zip(cases, binary, whole_die):
             (report,) = verify_population([chip], verifier, segment=s).results
-            assert (
-                result_key(a)
-                == result_key(b)
-                == result_key(c)
-                == report_key(chip, report)
-            )
+            assert result_key(a) == result_key(b) == report_key(chip, report)
+
+    def test_json_verify_request_400_and_connection_survives(
+        self, registry
+    ):
+        """A verify request sent as a JSON line, its chip as base64
+        text, is refused; the connection still pongs."""
+        chip = make_mcu(seed=312, n_segments=1)
+        req = protocol.verify_request(chip, FAMILY)
+        req["chip_b64"] = base64.b64encode(req["chip_b64"]).decode()
+
+        async def fn(server):
+            async with await VerificationClient.connect(
+                server.endpoint
+            ) as client:
+                with pytest.raises(ServiceError) as err:
+                    await client.call(req)
+                return err.value, await client.ping()
+
+        err, pong = serve(registry, fn)
+        assert err.code == protocol.BAD_REQUEST
+        assert "binary frame" in err.reason
+        assert pong == {"pong": True}
 
     def test_large_die_verifies_over_the_wire(
         self, registry, traffic_spec, family_calibration
@@ -423,7 +431,7 @@ class TestBackpressure:
         async def fn(server):
             async def one(item):
                 async with await VerificationClient.connect(
-                    *server.address
+                    server.endpoint
                 ) as client:
                     try:
                         result = await asyncio.wait_for(
@@ -458,7 +466,7 @@ class TestBackpressure:
 
         async def fn(server):
             async with await VerificationClient.connect(
-                *server.address
+                server.endpoint
             ) as client:
                 first = await client.verify_chip(
                     item.chip, FAMILY, client="greedy"
@@ -486,7 +494,7 @@ class TestHttpSidecar:
 
         async def fn(server):
             async with await VerificationClient.connect(
-                *server.address
+                server.endpoint
             ) as client:
                 await client.verify_chip(item.chip, FAMILY)
             host, port = server.address
@@ -514,7 +522,7 @@ class TestHttpSidecar:
         assert hs == 200
         health = json.loads(hbody)
         assert health["status"] == "ok"
-        assert health["families"] == 1
+        assert health["registry"]["families"] == 1
         assert ms == 200
         assert "flashmark_service_requests 1" in mbody
         assert "flashmark_service_latency_s_bucket" in mbody
@@ -533,7 +541,7 @@ class TestAcceptance:
 
         async def fn(server):
             load = LoadClient(
-                *server.address, FAMILY, traffic=gen
+                server.endpoint, FAMILY, traffic=gen
             )
             report = await load.run_closed_loop(
                 len(items), concurrency=16, items=items
@@ -639,7 +647,7 @@ class TestOversizedFrames:
     def test_client_rejects_oversized_request_before_send(self, registry):
         async def fn(server):
             async with await VerificationClient.connect(
-                *server.address
+                server.endpoint
             ) as client:
                 too_big = {
                     "op": "verify",

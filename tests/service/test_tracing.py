@@ -54,7 +54,7 @@ class TestSingleRequest:
 
         async def fn(server):
             async with await VerificationClient.connect(
-                *server.address
+                server.endpoint
             ) as client:
                 return await client.verify_chip(chip, FAMILY, trace=root)
 
@@ -90,7 +90,7 @@ class TestSingleRequest:
 
         async def fn(server):
             async with await VerificationClient.connect(
-                *server.address
+                server.endpoint
             ) as client:
                 return await client.verify_chip(chip, FAMILY)
 
@@ -111,7 +111,7 @@ class TestSingleRequest:
 
         async def fn(server):
             async with await VerificationClient.connect(
-                *server.address
+                server.endpoint
             ) as client:
                 return await client.verify_chip(
                     chip, FAMILY, trace="completely-bogus"
@@ -131,7 +131,7 @@ class TestSingleRequest:
 
         async def fn(server):
             async with await VerificationClient.connect(
-                *server.address
+                server.endpoint
             ) as client:
                 return await client.verify_chip(chip, FAMILY, trace=root)
 
@@ -151,7 +151,7 @@ class TestTracedLoad:
 
         async def fn(server):
             load = LoadClient(
-                *server.address,
+                server.endpoint,
                 FAMILY,
                 traffic=TrafficGenerator(traffic_spec, seed=21),
                 telemetry=Telemetry(sink=client_sink),
@@ -206,7 +206,7 @@ class TestTracedLoad:
 
         async def fn(server):
             load = LoadClient(
-                *server.address,
+                server.endpoint,
                 FAMILY,
                 traffic=TrafficGenerator(traffic_spec, seed=22),
             )

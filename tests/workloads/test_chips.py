@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import ChipStatus, Verdict, WatermarkVerifier, calibrate_family
+from repro.core import ChipStatus, Verdict, WatermarkVerifier
+from repro.engine import calibrate_family
 from repro.device import make_mcu
 from repro.workloads import (
     ChipKind,
@@ -64,7 +65,7 @@ class TestPopulationVerification:
             lambda seed: make_mcu(seed=seed, n_segments=1),
             n_pe=spec.n_pe,
             n_replicas=spec.n_replicas,
-        )
+        ).calibration
         verifier = WatermarkVerifier(calibration, spec.format)
         for sample in population:
             report = verifier.verify(sample.chip.flash)

@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.core import ChipStatus, Verdict, WatermarkVerifier, calibrate_family
+from repro.core import ChipStatus, Verdict, WatermarkVerifier
+from repro.engine import calibrate_family
 from repro.device import make_mcu
 from repro.phys import PhysicalParams
 from repro.telemetry import Telemetry
@@ -60,7 +61,7 @@ class TestProductionLine:
     @pytest.fixture(scope="class")
     def batch(self):
         line = ProductionLine(outlier_fraction=0.4, n_pe=40_000)
-        return line.produce(8, seed=9)
+        return line.run(8, seed=9).batch
 
     def test_status_matches_die_sort(self, batch):
         for produced in batch:
@@ -87,7 +88,7 @@ class TestProductionLine:
     def test_batch_manifest_aggregates_sockets(self):
         telemetry = Telemetry()
         line = ProductionLine(outlier_fraction=0.4, n_pe=10_000)
-        batch = line.produce(4, seed=9, telemetry=telemetry)
+        batch = line.run(4, seed=9, telemetry=telemetry).batch
         manifest = batch_manifest(batch, telemetry=telemetry, line=line)
 
         assert manifest["kind"] == "production_batch"
@@ -111,7 +112,7 @@ class TestProductionLine:
     def test_produce_without_telemetry_unchanged(self):
         # The ambient default is disabled telemetry: no spans recorded.
         line = ProductionLine(outlier_fraction=0.0, n_pe=5_000)
-        batch = line.produce(1, seed=3)
+        batch = line.run(1, seed=3).batch
         assert len(batch) == 1
         manifest = batch_manifest(batch)
         assert manifest["stages"] == []
@@ -125,7 +126,7 @@ class TestProductionLine:
             lambda seed: make_mcu(seed=seed, n_segments=1),
             n_pe=40_000,
             n_replicas=7,
-        )
+        ).calibration
         verifier = WatermarkVerifier(calibration, spec.format)
         rejects = [p for p in batch if not p.die_sort.passed]
         accepts = [p for p in batch if p.die_sort.passed]
